@@ -40,21 +40,21 @@ from .lie import (
     LieTriple,
     SpinJ,
     SpinK,
+    beamsplitter_UJ,
     pochhammer,
     schwinger_su2,
     schwinger_su11,
     single_mode_su11,
     su2_generators,
     su11_generators,
+    two_mode_squeezer_UK,
 )
 from .protocols import (
     TwoModeProtocolResult,
     apply_beamsplitter,
-    beamsplitter_UJ,
     full_swap,
     imperfect_clone,
     squeezed_swap_obstruction,
-    two_mode_squeezer_UK,
 )
 from .report import Report, make_report
 from .states import (

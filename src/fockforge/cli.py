@@ -15,10 +15,11 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .fock import Cutoff, CutoffWarning, PolarParam
+from .fock import Cutoff, CutoffWarning, Ket, PolarParam, safe_indices
 from .formulas import (
     check_J_rotation,
     check_K_rotation,
@@ -48,7 +49,6 @@ from .protocols import (
 from .report import Report, make_report
 from .states import coherent, fidelity, perelomov_su11, squeeze, vacuum
 from .universal_swap import cnot_factorization, no_cloning_witness, swap_matrix, apply_swap
-from fractions import Fraction
 
 ENV_NMAX = "FOCKFORGE_NMAX"
 DEFAULT_TOL = 1e-6
@@ -107,8 +107,8 @@ def _build_config(args) -> RunConfig:
             raise ConfigError("--margin must be non-negative")
         if n_max is not None and margin > n_max:
             raise ConfigError(f"--margin {margin} exceeds --nmax {n_max}")
-    if args.tol <= 0:
-        raise ConfigError(f"--tol must be positive, got {args.tol}")
+    if not math.isfinite(args.tol) or args.tol <= 0:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
     return RunConfig(
         n_max=n_max,
         margin=margin,
@@ -270,9 +270,7 @@ def _lie_reports(config: RunConfig) -> list:
 
     cut2 = Cutoff(10)
     triple = schwinger_su11(cut2)
-    d = cut2.dim
-    flat = np.arange(d * d)
-    idx = np.nonzero(flat // d + flat % d <= cut2.n_max - 1)[0]
+    idx = safe_indices(cut2, 1, modes=2)
     reports.append(
         make_report(
             "su11_closure_schwinger",
@@ -302,9 +300,7 @@ def _lie_reports(config: RunConfig) -> list:
 
     cut4 = Cutoff(10)
     triple = schwinger_su2(cut4)
-    d = cut4.dim
-    flat = np.arange(d * d)
-    idx = np.nonzero(flat // d + flat % d <= cut4.n_max - 1)[0]
+    idx = safe_indices(cut4, 1, modes=2)
     reports.append(
         make_report(
             "su2_closure_schwinger",
@@ -325,8 +321,6 @@ def _lie_reports(config: RunConfig) -> list:
     pere = perelomov_su11(z, spin)
     squeezed = squeeze(z, fock_cut).apply(vacuum(fock_cut))
     even = squeezed.amplitudes[0::2]
-    from .fock import Ket
-
     even_ket = Ket(even, 1, spin.cutoff)
     f = fidelity(pere, even_ket)
     reports.append(
@@ -368,8 +362,6 @@ def _universal_swap_reports(config: RunConfig, rng) -> list:
     for _ in range(VERIFY_DRAWS):
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        from .fock import Ket
-
         out = apply_swap(Ket(a, 1, cut), Ket(b, 1, cut))
         worst = max(worst, float(np.abs(out.amplitudes - np.kron(b, a)).max()))
     reports.append(
@@ -393,8 +385,6 @@ def _universal_swap_reports(config: RunConfig, rng) -> list:
     reports.append(no_cloning_witness(basis, tol))
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[1] = 1 / math.sqrt(2)
-    from .fock import Ket
-
     reports.append(no_cloning_witness(Ket(amps, 1, Cutoff(3)), tol))
     return reports
 
@@ -664,10 +654,11 @@ def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
 
 
 def _parse_values(text: str) -> list[float]:
-    text = text.strip()
-    if not text:
-        return []
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    bad = [tok for tok in tokens if not math.isfinite(float(tok))]
+    if bad:
+        raise ConfigError(f"--values must be finite, got {bad[0]!r}")
+    return [float(tok) for tok in tokens]
 
 
 def build_parser() -> argparse.ArgumentParser:

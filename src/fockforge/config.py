@@ -30,6 +30,16 @@ TAIL_BOUND = 1e-12
 # at the cutoff to sit below this bound.
 PERELOMOV_AMPLITUDE_BOUND = 1e-10
 
+# Hyperbolic guard: conjugation amplification must stay within the cutoff.
+COSH_GUARD = 3.0
+
+
+def _guard_cosh(modulus: float, label: str):
+    if math.cosh(modulus) > COSH_GUARD:
+        raise ValueError(
+            f"guard violated: cosh|{label}| = {math.cosh(modulus):.3f} exceeds {COSH_GUARD}"
+        )
+
 
 def default_margin(n_max: int) -> int:
     """Default safe-projector margin: a quarter of the cutoff, rounded up.

@@ -87,15 +87,16 @@ class PolarParam:
 
     @classmethod
     def parse(cls, text: str) -> "PolarParam":
-        """Parse ``re,im`` (Cartesian) or ``mod@phase`` (polar) notation."""
+        """Parse ``re,im`` (Cartesian) or ``mod@phase`` (polar) notation;
+        rejects non-finite numbers."""
         text = text.strip()
-        if "@" in text:
-            mod_s, ph_s = text.split("@", 1)
-            return cls.from_polar(float(mod_s), float(ph_s))
-        if "," in text:
-            re_s, im_s = text.split(",", 1)
-            return cls.from_value(complex(float(re_s), float(im_s)))
-        return cls.from_value(complex(float(text), 0.0))
+        sep = "@" if "@" in text else ","
+        parts = [float(p) for p in text.split(sep, 1)]
+        if not all(math.isfinite(p) for p in parts):
+            raise ValueError(f"parameter {text!r} has a non-finite number")
+        if sep == "@":
+            return cls.from_polar(*parts)
+        return cls.from_value(complex(*parts))
 
     @property
     def conj(self) -> complex:

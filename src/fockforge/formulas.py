@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, default_margin
+from .config import DEFAULT_TOLERANCES, _guard_cosh, default_margin
 from .fock import (
     Cutoff,
     Ket,
@@ -29,6 +29,7 @@ from .fock import (
     tail_warning,
     _expm_array,
 )
+from .lie import beamsplitter_UJ, two_mode_squeezer_UK
 from .report import Report, make_report
 from .states import (
     coherent,
@@ -38,9 +39,6 @@ from .states import (
     vacuum,
     fidelity,
 )
-
-# Hyperbolic guard: conjugation amplification must stay within the cutoff.
-COSH_GUARD = 3.0
 
 # Size of the retained low-occupation block for hyperbolic-conjugation checks.
 HYPERBOLIC_SAFE_BLOCK = 12
@@ -72,13 +70,6 @@ def _sinhc(x: float) -> float:
 
 def _hyperbolic_margin(cutoff: Cutoff) -> int:
     return max(0, cutoff.n_max - HYPERBOLIC_SAFE_BLOCK)
-
-
-def _guard_cosh(modulus: float, label: str):
-    if math.cosh(modulus) > COSH_GUARD:
-        raise ValueError(
-            f"guard violated: cosh|{label}| = {math.cosh(modulus):.3f} exceeds {COSH_GUARD}"
-        )
 
 
 def _restricted_conjugation(u: np.ndarray, a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -150,8 +141,7 @@ def check_J_rotation(
     tol = DEFAULT_TOLERANCES.identity_residual if tolerance is None else tolerance
 
     a1, a2 = _two_mode_ladders(cutoff)
-    gen = t.value * (a1.conj().T @ a2) - t.conj * (a2.conj().T @ a1)
-    u = _expm_array(gen)
+    u = beamsplitter_UJ(t, cutoff).entries
     keep = safe_indices(cutoff, margin, modes=2)
 
     m = t.modulus
@@ -187,9 +177,8 @@ def check_K_rotation(
     _guard_cosh(t.modulus, "t")
 
     a1, a2 = _two_mode_ladders(cutoff)
-    a1d, a2d = a1.conj().T, a2.conj().T
-    gen = t.value * (a1d @ a2d) - t.conj * (a2 @ a1)
-    u = _expm_array(gen)
+    a2d = a2.conj().T
+    u = two_mode_squeezer_UK(t, cutoff).entries
     keep = safe_indices(cutoff, margin, modes=2)
 
     m = t.modulus
@@ -220,7 +209,7 @@ def check_squeeze_conjugation(
 
     a = annihilation(cutoff).entries
     ad = a.conj().T
-    s = _expm_array(0.5 * (epsilon.value * (ad @ ad) - epsilon.conj * (a @ a)))
+    s = squeeze(epsilon, cutoff).entries
     keep = safe_indices(cutoff, margin, modes=1)
     rhs = math.cosh(epsilon.modulus) * a - cmath.exp(1j * epsilon.phase) * math.sinh(
         epsilon.modulus
@@ -258,7 +247,7 @@ def check_SDS(
 
     a = annihilation(cutoff).entries
     ad = a.conj().T
-    s = _expm_array(0.5 * (epsilon.value * (ad @ ad) - epsilon.conj * (a @ a)))
+    s = squeeze(epsilon, cutoff).entries
     d = _expm_array(alpha.value * ad - alpha.conj * a)
     predicted = (
         math.cosh(epsilon.modulus) * alpha.value
@@ -279,9 +268,7 @@ def check_SDS(
         ("scale_down_state", math.pi, math.exp(-epsilon.modulus)),
     ):
         locked = PolarParam.from_polar(epsilon.modulus, 2 * alpha.phase + offset)
-        s_locked = _expm_array(
-            0.5 * (locked.value * (ad @ ad) - locked.conj * (a @ a))
-        )
+        s_locked = squeeze(locked, cutoff).entries
         out = s_locked @ (d @ (s_locked.conj().T @ vac))
         target = coherent(PolarParam.from_value(scale * alpha.value), cutoff)
         out_ket = Ket(out, 1, cutoff)
@@ -427,10 +414,7 @@ def check_UJ_squeeze_invariance(
     beta = PolarParam.from_value(alpha.value * t.conj / t.value)
     coeffs = squeeze_pair_exponent_coefficients(alpha.value, beta.value, t.value)
 
-    a1, a2 = _two_mode_ladders(cutoff)
-    a1d, a2d = a1.conj().T, a2.conj().T
-    u = _expm_array(t.value * (a1d @ a2) - t.conj * (a2d @ a1))
-
+    u = beamsplitter_UJ(t, cutoff).entries
     s1 = squeeze(alpha, cutoff).entries
     s2 = squeeze(beta, cutoff).entries
     pair = np.kron(s1, s2)  # S1(alpha) S2(beta) on the two-mode space

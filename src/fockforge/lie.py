@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fock import Cutoff, Operator, annihilation, dagger, identity, number, tensor
+from .config import _guard_cosh
+from .fock import Cutoff, Operator, PolarParam, annihilation, dagger, expm, identity, number, tensor
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,29 @@ def schwinger_su11(cutoff: Cutoff) -> LieTriple:
     plus = tensor(ad, ad)
     third = 0.5 * (tensor(n_op, eye) + tensor(eye, n_op) + identity(cutoff, modes=2))
     return LieTriple(plus, dagger(plus), third, "su11")
+
+
+def beamsplitter_UJ(kappa: PolarParam, cutoff: Cutoff) -> Operator:
+    """Two-mode unitary exp(kappa a1†a2 - conj(kappa) a2†a1), the su(2)
+    rotation exp(kappa J+ - conj(kappa) J-) of the Schwinger realization.
+
+    Preserves total occupation exactly and fixes the two-mode vacuum.
+    """
+    a = annihilation(cutoff)
+    ad = dagger(a)
+    gen = kappa.value * tensor(ad, a) - kappa.conj * tensor(a, ad)
+    return expm(gen)
+
+
+def two_mode_squeezer_UK(kappa: PolarParam, cutoff: Cutoff) -> Operator:
+    """Two-mode unitary exp(kappa a1†a2† - conj(kappa) a2a1), the su(1,1)
+    boost exp(kappa K+ - conj(kappa) K-) of the Schwinger realization; creates
+    and destroys photon pairs, preserving the occupation difference."""
+    _guard_cosh(kappa.modulus, "kappa")
+    a = annihilation(cutoff)
+    ad = dagger(a)
+    gen = kappa.value * tensor(ad, ad) - kappa.conj * tensor(a, a)
+    return expm(gen)
 
 
 def single_mode_su11(cutoff: Cutoff) -> LieTriple:

@@ -8,14 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, _guard_cosh
 from .fock import (
     Cutoff,
     Ket,
     Operator,
     PolarParam,
     annihilation,
-    dagger,
     expm,
     safe_indices,
     tail_warning,
@@ -23,12 +22,12 @@ from .fock import (
     tensor_ket,
 )
 from .formulas import (
-    COSH_GUARD,
     _hyperbolic_margin,
     _restricted_conjugation,
     _sinc,
     squeeze_pair_exponent_coefficients,
 )
+from .lie import beamsplitter_UJ, two_mode_squeezer_UK
 from .report import Report, make_report
 from .states import (
     coherent_with_deficit,
@@ -68,30 +67,6 @@ class TwoModeProtocolResult:
         }
 
 
-def beamsplitter_UJ(kappa: PolarParam, cutoff: Cutoff) -> Operator:
-    """Two-mode unitary exp(kappa a1†a2 - conj(kappa) a2†a1).
-
-    Preserves total occupation exactly and fixes the two-mode vacuum.
-    """
-    a = annihilation(cutoff)
-    ad = dagger(a)
-    gen = kappa.value * tensor(ad, a) - kappa.conj * tensor(a, ad)
-    return expm(gen)
-
-
-def two_mode_squeezer_UK(kappa: PolarParam, cutoff: Cutoff) -> Operator:
-    """Two-mode unitary exp(kappa a1†a2† - conj(kappa) a2a1); creates and
-    destroys photon pairs, preserving the occupation difference."""
-    if math.cosh(kappa.modulus) > COSH_GUARD:
-        raise ValueError(
-            f"guard violated: cosh|kappa| = {math.cosh(kappa.modulus):.3f} exceeds {COSH_GUARD}"
-        )
-    a = annihilation(cutoff)
-    ad = dagger(a)
-    gen = kappa.value * tensor(ad, ad) - kappa.conj * tensor(a, a)
-    return expm(gen)
-
-
 def _coherent_pair(
     alpha1: PolarParam, alpha2: PolarParam, cutoff: Cutoff
 ) -> tuple[Ket, float]:
@@ -117,7 +92,9 @@ def apply_beamsplitter(
     tol = DEFAULT_TOLERANCES.fidelity_deficit if tolerance is None else tolerance
 
     messages = []
-    msg = tail_warning(max(alpha1.modulus, alpha2.modulus), cutoff, context="beamsplitter input")
+    # the beamsplitter truncates by total occupation: guard the combined amplitude
+    combined = math.hypot(alpha1.modulus, alpha2.modulus)
+    msg = tail_warning(combined, cutoff, context="beamsplitter input")
     if msg:
         messages.append(msg)
 
@@ -167,7 +144,9 @@ def full_swap(
     tol = DEFAULT_TOLERANCES.fidelity_deficit if tolerance is None else tolerance
 
     messages = []
-    msg = tail_warning(max(alpha1.modulus, alpha2.modulus), cutoff, context="swap input")
+    # the beamsplitter truncates by total occupation: guard the combined amplitude
+    combined = math.hypot(alpha1.modulus, alpha2.modulus)
+    msg = tail_warning(combined, cutoff, context="swap input")
     if msg:
         messages.append(msg)
 
@@ -268,11 +247,8 @@ def squeezed_swap_obstruction(
     cutoff = cutoff or OBSTRUCTION_CUTOFF
     margin = _hyperbolic_margin(cutoff) if margin is None else margin
     tol = DEFAULT_TOLERANCES.identity_residual if tolerance is None else tolerance
-    for label, p in (("beta1", beta1), ("beta2", beta2)):
-        if math.cosh(p.modulus) > COSH_GUARD:
-            raise ValueError(
-                f"guard violated: cosh|{label}| = {math.cosh(p.modulus):.3f} exceeds {COSH_GUARD}"
-            )
+    _guard_cosh(beta1.modulus, "beta1")
+    _guard_cosh(beta2.modulus, "beta2")
 
     coeffs = squeeze_pair_exponent_coefficients(beta1.value, beta2.value, kappa.value)
     cross = coeffs["pair_create"]

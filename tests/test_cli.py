@@ -11,9 +11,11 @@ def run(argv, capsys):
 
 class TestConfigValidation:
     def test_negative_tolerance_is_config_error(self, capsys):
-        code, _, err = run(["swap", "--a1", "1,0", "--a2", "0,1", "--tol", "-1"], capsys)
-        assert code == 2
-        assert "tol" in err
+        # nan would fail every gate and inf would pass every gate
+        for tol in ("-1", "nan", "inf"):
+            code, _, err = run(["swap", "--a1", "1,0", "--a2", "0,1", "--tol", tol], capsys)
+            assert code == 2
+            assert "tol" in err
 
     def test_bad_nmax_is_config_error(self, capsys):
         code, _, _ = run(["verify-all", "--nmax", "0"], capsys)
@@ -49,6 +51,16 @@ class TestSwapCommand:
         assert code == 1
         assert "cutoff inadequate" in err
 
+    def test_combined_amplitude_sets_cutoff(self, capsys):
+        # each amplitude alone fits n_max 26; the pair's combined amplitude
+        # sqrt(8) does not, and the beamsplitter truncates by total occupation
+        code, _, err = run(["swap", "--a1", "2@0", "--a2", "2@1", "--nmax", "26"], capsys)
+        assert code == 1
+        assert "cutoff inadequate" in err
+        code, _, err = run(["swap", "--a1", "2@0", "--a2", "2@1", "--nmax", "35"], capsys)
+        assert code == 0
+        assert err == ""
+
     def test_csv_output(self, capsys):
         code, out, _ = run(["swap", "--a1", "0.5,0", "--a2", "0,0.5", "--format", "csv"], capsys)
         assert code == 0
@@ -74,6 +86,12 @@ class TestSweepCommand:
         code, _, err = run(["sweep", "--check", "nope", "--values", "0.1"], capsys)
         assert code == 2
         assert "unknown check" in err
+
+    def test_non_finite_value_is_usage_error(self, capsys):
+        code, out, err = run(["sweep", "--check", "check_J_rotation", "--values", "0.2,nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "'nan'" in err
 
     def test_empty_grid_header_only(self, capsys):
         code, out, _ = run(

@@ -82,6 +82,11 @@ class TestPolarParam:
     def test_parse(self, text, value):
         assert PolarParam.parse(text).value == pytest.approx(value)
 
+    @pytest.mark.parametrize("text", ["nan,0", "1,inf", "inf@0", "1@nan", "1e400"])
+    def test_parse_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="non-finite"):
+            PolarParam.parse(text)
+
 
 class TestLadders:
     def test_annihilation_entries(self):

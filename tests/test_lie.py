@@ -3,19 +3,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as dense_expm
 
 from fockforge import (
     Cutoff,
     LieTriple,
     Operator,
+    PolarParam,
     SpinJ,
     SpinK,
+    beamsplitter_UJ,
     pochhammer,
     schwinger_su2,
     schwinger_su11,
     single_mode_su11,
     su2_generators,
     su11_generators,
+    two_mode_squeezer_UK,
 )
 from fockforge.fock import safe_indices
 
@@ -136,6 +140,22 @@ class TestSchwinger:
         triple = schwinger_su11(cut)
         keep = safe_indices(cut, 1, modes=2)
         assert max(closure_residuals(triple, keep)) < 1e-12
+
+    @pytest.mark.parametrize("n_max", [1, 3, 6])
+    @pytest.mark.parametrize(
+        "builder,realization",
+        [(beamsplitter_UJ, schwinger_su2), (two_mode_squeezer_UK, schwinger_su11)],
+        ids=["UJ", "UK"],
+    )
+    def test_two_mode_unitary_is_exponential_of_realization(self, builder, realization, n_max):
+        # second route: one dense exponential of kappa X+ - conj(kappa) X- on
+        # the whole two-mode space, with no sector splitting
+        cut = Cutoff(n_max)
+        triple = realization(cut)
+        for kappa in (PolarParam.from_polar(0.4, -2.3), PolarParam.from_polar(1.1, 0.9)):
+            gen = kappa.value * triple.plus.entries - kappa.conj * triple.minus.entries
+            gap = np.abs(builder(kappa, cut).entries - dense_expm(gen)).max()
+            assert gap <= 1e-14
 
 
 class TestSingleModeSu11:
