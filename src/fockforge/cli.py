@@ -653,6 +653,12 @@ def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
 # argument parsing
 
 
+def _finite_delta(delta: float) -> float:
+    if not math.isfinite(delta):
+        raise ConfigError(f"--delta must be finite, got {delta}")
+    return delta
+
+
 def _parse_values(text: str) -> list[float]:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     bad = [tok for tok in tokens if not math.isfinite(float(tok))]
@@ -711,14 +717,21 @@ def main(argv=None) -> int:
             return cmd_verify_all(config)
         if args.command == "swap":
             return cmd_swap(
-                config, PolarParam.parse(args.a1), PolarParam.parse(args.a2), args.delta
+                config,
+                PolarParam.parse(args.a1),
+                PolarParam.parse(args.a2),
+                _finite_delta(args.delta),
             )
         if args.command == "clone":
-            return cmd_clone(config, PolarParam.parse(args.alpha), args.delta)
+            return cmd_clone(config, PolarParam.parse(args.alpha), _finite_delta(args.delta))
         if args.command == "sweep":
             return cmd_sweep(config, args.check, _parse_values(args.values))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # exit 1 means a failed check; running out of memory is a usage error
+        print("error: out of memory at this truncation; try a smaller --nmax", file=sys.stderr)
         return 2
     return 2
 

@@ -1,19 +1,23 @@
 """Finite spin-J su(2) and truncated spin-K su(1,1) representations.
 
 Includes the two-mode (Schwinger boson) realizations and the single-mode
-quadratic realization of su(1,1), all as dense matrices on truncated spaces.
+quadratic realization of su(1,1), all as dense matrices on truncated spaces,
+and the sector kernel that exponentiates the two-mode realizations one
+conserved chain at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .config import _guard_cosh
-from .fock import Cutoff, Operator, PolarParam, annihilation, dagger, expm, identity, number, tensor
+from .fock import Cutoff, Ket, Operator, PolarParam, annihilation, dagger, identity, number, tensor
 
 
 @dataclass(frozen=True)
@@ -116,27 +120,115 @@ def schwinger_su11(cutoff: Cutoff) -> LieTriple:
     return LieTriple(plus, dagger(plus), third, "su11")
 
 
+@dataclass(frozen=True)
+class SectorBlock:
+    """exp(r(e^{i phi} X+ - e^{-i phi} X-)) on one conserved chain of a
+    two-mode realization, kept factored as P W e^{-i r mu} W^T P^dagger.
+
+    ``n1``/``n2`` are the chain's occupations in chain order.  S = W mu W^T
+    is the real symmetric tridiagonal matrix of the ladder coefficients and
+    P = diag(e^{i k (phi + pi/2)}), k the chain position, so that
+    P^dagger (e^{i phi} X+ - e^{-i phi} X-) P = -i S.
+    """
+
+    n1: np.ndarray
+    n2: np.ndarray
+    phase: np.ndarray
+    vectors: np.ndarray
+    spectrum: np.ndarray
+
+    def matrix(self) -> np.ndarray:
+        left = self.phase[:, None] * self.vectors * self.spectrum
+        return left @ (self.vectors.T * self.phase.conj())
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        w = self.vectors.T @ (self.phase.conj() * v)
+        return self.phase * (self.vectors @ (self.spectrum * w))
+
+
+def sector_chains(
+    algebra: str, cutoff: Cutoff
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Conserved chains of the Schwinger realization at this cutoff.
+
+    Yields ``(n1, n2, ladder)`` per sector, ``ladder[k]`` being the X+
+    coefficient from chain position k to k+1.
+
+    su2:  sectors N = n1 + n2 = 0 ... 2 n_max, ladder sqrt((n1+1) n2); a sector
+          with N > n_max is the truncated chain n1 in [N - n_max, n_max].
+    su11: sectors D = n1 - n2 = -n_max ... n_max, ladder sqrt((n1+1)(n2+1)).
+    """
+    n = cutoff.n_max
+    if algebra == "su2":
+        for total in range(2 * n + 1):
+            n1 = np.arange(max(0, total - n), min(total, n) + 1)
+            n2 = total - n1
+            yield n1, n2, np.sqrt((n1[:-1] + 1.0) * n2[:-1])
+    elif algebra == "su11":
+        for diff in range(-n, n + 1):
+            n1 = np.arange(max(0, diff), n + min(0, diff) + 1)
+            n2 = n1 - diff
+            yield n1, n2, np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))
+    else:
+        raise ValueError("algebra must be 'su2' or 'su11'")
+
+
+def sector_blocks(algebra: str, kappa: PolarParam, cutoff: Cutoff) -> list[SectorBlock]:
+    """The blocks of exp(kappa X+ - conj(kappa) X-), one per conserved chain;
+    su(1,1) parameters must pass the cosh guard."""
+    if algebra == "su11":
+        _guard_cosh(kappa.modulus, "kappa")
+    turn = kappa.phase + math.pi / 2
+    blocks = []
+    for n1, n2, ladder in sector_chains(algebra, cutoff):
+        mu, w = eigh_tridiagonal(np.zeros(n1.size), ladder)
+        phase = np.exp(1j * turn * np.arange(n1.size))
+        blocks.append(SectorBlock(n1, n2, phase, w, np.exp(-1j * kappa.modulus * mu)))
+    return blocks
+
+
+def _sector_operator(algebra: str, kappa: PolarParam, cutoff: Cutoff) -> Operator:
+    if kappa.modulus == 0.0:
+        return identity(cutoff, modes=2)
+    d = cutoff.dim
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for block in sector_blocks(algebra, kappa, cutoff):
+        idx = block.n1 * d + block.n2
+        out[np.ix_(idx, idx)] = block.matrix()
+    return Operator(out, 2, cutoff)
+
+
+def apply_sectors(algebra: str, kappa: PolarParam, ket: Ket) -> Ket:
+    """exp(kappa X+ - conj(kappa) X-) applied to a two-mode ket chain by chain,
+    without forming the d^2 x d^2 matrix."""
+    if ket.modes != 2:
+        raise ValueError("apply_sectors acts on two-mode kets")
+    if kappa.modulus == 0.0:
+        return ket
+    d = ket.cutoff.dim
+    grid = ket.amplitudes.reshape(d, d)
+    out = np.empty((d, d), dtype=complex)
+    for block in sector_blocks(algebra, kappa, ket.cutoff):
+        out[block.n1, block.n2] = block.apply(grid[block.n1, block.n2])
+    return Ket(out, 2, ket.cutoff)
+
+
 def beamsplitter_UJ(kappa: PolarParam, cutoff: Cutoff) -> Operator:
     """Two-mode unitary exp(kappa a1†a2 - conj(kappa) a2†a1), the su(2)
-    rotation exp(kappa J+ - conj(kappa) J-) of the Schwinger realization.
+    rotation exp(kappa J+ - conj(kappa) J-) of the Schwinger realization,
+    assembled from its total-occupation sectors.
 
     Preserves total occupation exactly and fixes the two-mode vacuum.
     """
-    a = annihilation(cutoff)
-    ad = dagger(a)
-    gen = kappa.value * tensor(ad, a) - kappa.conj * tensor(a, ad)
-    return expm(gen)
+    return _sector_operator("su2", kappa, cutoff)
 
 
 def two_mode_squeezer_UK(kappa: PolarParam, cutoff: Cutoff) -> Operator:
     """Two-mode unitary exp(kappa a1†a2† - conj(kappa) a2a1), the su(1,1)
-    boost exp(kappa K+ - conj(kappa) K-) of the Schwinger realization; creates
-    and destroys photon pairs, preserving the occupation difference."""
-    _guard_cosh(kappa.modulus, "kappa")
-    a = annihilation(cutoff)
-    ad = dagger(a)
-    gen = kappa.value * tensor(ad, ad) - kappa.conj * tensor(a, a)
-    return expm(gen)
+    boost exp(kappa K+ - conj(kappa) K-) of the Schwinger realization,
+    assembled from its fixed-(n1 - n2) sectors; creates and destroys photon
+    pairs, preserving the occupation difference.  Guarded by the cosh bound."""
+    return _sector_operator("su11", kappa, cutoff)
 
 
 def single_mode_su11(cutoff: Cutoff) -> LieTriple:

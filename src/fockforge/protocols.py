@@ -4,7 +4,9 @@ cloning, and the squeezed-pair obstruction to a squeeze swap."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from .fock import (
     expm,
     safe_indices,
     tail_warning,
-    tensor,
     tensor_ket,
 )
 from .formulas import (
@@ -27,13 +28,13 @@ from .formulas import (
     _sinc,
     squeeze_pair_exponent_coefficients,
 )
-from .lie import beamsplitter_UJ, two_mode_squeezer_UK
+from .lie import apply_sectors, beamsplitter_UJ, two_mode_squeezer_UK
 from .report import Report, make_report
 from .states import (
     coherent_with_deficit,
     fidelity,
     occupation_expectations,
-    phase_rotation,
+    phase_factors,
     squeeze,
     vacuum,
 )
@@ -50,7 +51,7 @@ class TwoModeProtocolResult:
     output: Ket
     predicted: Ket
     fidelity: float
-    stages: tuple[tuple[str, Operator], ...]
+    stages: tuple[tuple[str, Callable[[Ket], Ket]], ...]
     report: Report
 
     def mean_occupations(self) -> tuple[float, float]:
@@ -73,6 +74,18 @@ def _coherent_pair(
     k1, d1 = coherent_with_deficit(alpha1, cutoff)
     k2, d2 = coherent_with_deficit(alpha2, cutoff)
     return tensor_ket(k1, k2), max(d1, d2)
+
+
+def _phase_stage(t1: float, t2: float, cutoff: Cutoff) -> Callable[[Ket], Ket]:
+    """exp(i t1 N) (x) exp(i t2 N) as an elementwise product on the amplitudes."""
+    factors = np.outer(phase_factors(t1, cutoff), phase_factors(t2, cutoff)).reshape(-1)
+    return lambda ket: Ket(ket.amplitudes * factors, 2, cutoff)
+
+
+def _run_stages(stages, ket: Ket) -> Ket:
+    for _, stage in stages:
+        ket = stage(ket)
+    return ket.normalize()
 
 
 def apply_beamsplitter(
@@ -98,9 +111,9 @@ def apply_beamsplitter(
     if msg:
         messages.append(msg)
 
-    u = beamsplitter_UJ(kappa, cutoff)
+    stages = (("beamsplitter", partial(apply_sectors, "su2", kappa)),)
     incoming, in_deficit = _coherent_pair(alpha1, alpha2, cutoff)
-    output = u.apply(incoming).normalize()
+    output = _run_stages(stages, incoming)
 
     m = kappa.modulus
     ks = kappa.value * _sinc(m)  # e^{i delta} sin|kappa|
@@ -125,7 +138,7 @@ def apply_beamsplitter(
         tol,
         warnings=tuple(messages),
     )
-    return TwoModeProtocolResult(output, predicted, f, (("beamsplitter", u),), report)
+    return TwoModeProtocolResult(output, predicted, f, stages, report)
 
 
 def full_swap(
@@ -151,11 +164,12 @@ def full_swap(
         messages.append(msg)
 
     kappa = PolarParam.from_polar(math.pi / 2, delta)
-    u = beamsplitter_UJ(kappa, cutoff)
-    v = tensor(phase_rotation(-delta, cutoff), phase_rotation(delta + math.pi, cutoff))
-
+    stages = (
+        ("beamsplitter", partial(apply_sectors, "su2", kappa)),
+        ("phase_rotation", _phase_stage(-delta, delta + math.pi, cutoff)),
+    )
     incoming, in_deficit = _coherent_pair(alpha1, alpha2, cutoff)
-    output = v.apply(u.apply(incoming)).normalize()
+    output = _run_stages(stages, incoming)
     predicted, _ = _coherent_pair(alpha2, alpha1, cutoff)
 
     f = fidelity(output, predicted)
@@ -169,7 +183,6 @@ def full_swap(
         tol,
         warnings=tuple(messages),
     )
-    stages = (("beamsplitter", u), ("phase_rotation", v))
     return TwoModeProtocolResult(output, predicted, f, stages, report)
 
 
@@ -195,12 +208,13 @@ def imperfect_clone(
         messages.append(msg)
 
     kappa = PolarParam.from_polar(math.pi / 4, delta)
-    u = beamsplitter_UJ(kappa, cutoff)
-    v = tensor(phase_rotation(0.0, cutoff), phase_rotation(delta + math.pi, cutoff))
-
+    stages = (
+        ("beamsplitter", partial(apply_sectors, "su2", kappa)),
+        ("phase_rotation", _phase_stage(0.0, delta + math.pi, cutoff)),
+    )
     in1, in_deficit = coherent_with_deficit(alpha, cutoff)
     incoming = tensor_ket(in1, vacuum(cutoff))
-    output = v.apply(u.apply(incoming)).normalize()
+    output = _run_stages(stages, incoming)
 
     half = PolarParam.from_value(alpha.value / math.sqrt(2))
     predicted, _ = _coherent_pair(half, half, cutoff)
@@ -223,7 +237,6 @@ def imperfect_clone(
         tol,
         warnings=tuple(messages),
     )
-    stages = (("beamsplitter", u), ("phase_rotation", v))
     return TwoModeProtocolResult(output, predicted, f, stages, report)
 
 

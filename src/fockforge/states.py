@@ -85,10 +85,14 @@ def squeeze(z: PolarParam, cutoff: Cutoff) -> Operator:
     return expm(gen)
 
 
+def phase_factors(t: float, cutoff: Cutoff) -> np.ndarray:
+    """Diagonal of exp(i t N): e^{i t n} for n = 0 ... n_max."""
+    return np.exp(1j * t * np.arange(cutoff.dim))
+
+
 def phase_rotation(t: float, cutoff: Cutoff) -> Operator:
     """Diagonal unitary exp(i t N), built exactly entry by entry."""
-    diag = np.exp(1j * t * np.arange(cutoff.dim))
-    return Operator(np.diag(diag), 1, cutoff)
+    return Operator(np.diag(phase_factors(t, cutoff)), 1, cutoff)
 
 
 def perelomov_su2(z: PolarParam, spin: SpinJ) -> Ket:

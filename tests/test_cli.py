@@ -1,5 +1,6 @@
 import json
 
+import fockforge.protocols
 from fockforge.cli import main
 
 
@@ -27,6 +28,25 @@ class TestConfigValidation:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_non_finite_delta_is_config_error(self, capsys):
+        for argv in (["swap", "--a1", "1,0", "--a2", "0,1"], ["clone", "--alpha", "1,0"]):
+            for delta in ("nan", "inf", "-inf"):
+                code, out, err = run([*argv, "--delta", delta, "--nmax", "10"], capsys)
+                assert code == 2
+                assert out == ""
+                assert "--delta" in err
+
+    def test_out_of_memory_is_config_error(self, capsys, monkeypatch):
+        # stands in for an oversize --nmax; no large array is ever allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(fockforge.protocols, "apply_sectors", exhausted)
+        code, out, err = run(["swap", "--a1", "1,0", "--a2", "0,1", "--nmax", "10"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--nmax" in err
 
 
 class TestSwapCommand:

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as dense_expm
 
 from fockforge import (
     Cutoff,
+    Ket,
     LieTriple,
     Operator,
     PolarParam,
@@ -21,7 +24,19 @@ from fockforge import (
     su11_generators,
     two_mode_squeezer_UK,
 )
+from fockforge.config import COSH_GUARD
 from fockforge.fock import safe_indices
+from fockforge.lie import apply_sectors, sector_chains
+
+BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}
+
+
+@st.composite
+def kappas(draw, algebra):
+    """A two-mode unitary parameter; su(1,1) moduli stay inside the cosh guard."""
+    top = math.acosh(COSH_GUARD) - 1e-12 if algebra == "su11" else 2 * math.pi
+    modulus = draw(st.floats(0.0, top))
+    return PolarParam.from_polar(modulus, draw(st.floats(-math.pi, math.pi)))
 
 
 def closure_residuals(triple, keep):
@@ -156,6 +171,67 @@ class TestSchwinger:
             gen = kappa.value * triple.plus.entries - kappa.conj * triple.minus.entries
             gap = np.abs(builder(kappa, cut).entries - dense_expm(gen)).max()
             assert gap <= 1e-14
+
+
+class TestSectorKernel:
+    @pytest.mark.parametrize("algebra", ["su2", "su11"])
+    @pytest.mark.parametrize("n_max", [1, 4, 9])
+    def test_chains_partition_the_grid(self, algebra, n_max):
+        d = n_max + 1
+        seen = np.zeros((d, d), dtype=int)
+        for n1, n2, ladder in sector_chains(algebra, Cutoff(n_max)):
+            seen[n1, n2] += 1
+            assert ladder.size == n1.size - 1
+        assert np.all(seen == 1)
+
+    @pytest.mark.parametrize("algebra", ["su2", "su11"])
+    def test_zero_is_identity_on_kets(self, algebra):
+        amps = np.random.default_rng(5).normal(size=36) + 0j
+        ket = Ket(amps, 2, Cutoff(5))
+        out = apply_sectors(algebra, PolarParam.from_value(0), ket)
+        np.testing.assert_array_equal(out.amplitudes, amps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["su2", "su11"]).flatmap(lambda alg: st.tuples(st.just(alg), kappas(alg))),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_ket_application_matches_dense_builder(self, drawn, n_max, seed):
+        algebra, kappa = drawn
+        cut = Cutoff(n_max)
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=cut.dim ** 2) + 1j * rng.normal(size=cut.dim ** 2)
+        builder, _ = BUILDERS[algebra]
+        dense = builder(kappa, cut).entries @ amps
+        got = apply_sectors(algebra, kappa, Ket(amps, 2, cut)).amplitudes
+        assert np.abs(got - dense).max() <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["su2", "su11"]).flatmap(lambda alg: st.tuples(st.just(alg), kappas(alg))),
+        st.integers(1, 8),
+    )
+    def test_dense_builder_matches_unsplit_exponential(self, drawn, n_max):
+        algebra, kappa = drawn
+        cut = Cutoff(n_max)
+        builder, realization = BUILDERS[algebra]
+        triple = realization(cut)
+        gen = kappa.value * triple.plus.entries - kappa.conj * triple.minus.entries
+        assert np.abs(builder(kappa, cut).entries - dense_expm(gen)).max() <= 1e-13
+
+    @pytest.mark.parametrize("kappa", [PolarParam.from_polar(0.5, 0.7), PolarParam.from_polar(1.0, -2.6)])
+    def test_squeezed_vacuum_oracle(self, kappa):
+        # U_K|0,0> = sech r sum_n (e^{i phi} tanh r)^n |n,n>, r = |kappa|, phi = arg kappa
+        cut = Cutoff(40)
+        d = cut.dim
+        r = kappa.modulus
+        want = np.zeros(d * d, dtype=complex)
+        n = np.arange(d)
+        want[n * d + n] = (np.exp(1j * kappa.phase) * math.tanh(r)) ** n / math.cosh(r)
+        keep = safe_indices(cut, cut.n_max // 2, modes=2)
+        column = two_mode_squeezer_UK(kappa, cut).entries[:, 0]
+        assert np.abs(column[keep] - want[keep]).max() <= 1e-13
 
 
 class TestSingleModeSu11:

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fockforge import (
     Cutoff,
+    CutoffWarning,
     PolarParam,
+    adequate_cutoff,
     annihilation,
     apply_beamsplitter,
     beamsplitter_UJ,
@@ -217,6 +220,36 @@ class TestImperfectClone:
         res = imperfect_clone(PolarParam.from_value(1.2))
         rho1, rho2 = partial_traces(res.output)
         assert np.linalg.norm(rho1 - rho2, "fro") <= 1e-8
+
+
+class TestLargeAmplitude:
+    # the protocols never form the d^2 x d^2 beamsplitter, so n_max 128
+    # (a 4.4 GB dense matrix) costs a ket and its sector blocks
+    @pytest.mark.parametrize("modulus,n_max", [(5.0, 68), (8.0, 128)])
+    def test_swap_and_clone_reach(self, modulus, n_max):
+        assert adequate_cutoff(modulus) == n_max
+        cut = Cutoff(n_max)
+        alpha = PolarParam.from_polar(modulus, 0.3)
+        dark = PolarParam.from_value(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CutoffWarning)
+            swapped = full_swap(alpha, dark, -1.1, cut)
+            cloned = imperfect_clone(alpha, cut, 0.6)
+        for res in (swapped, cloned):
+            assert res.fidelity >= 1 - 1e-6
+            assert res.report.passed
+        assert swapped.mean_occupations() == pytest.approx((0.0, modulus**2), abs=1e-6)
+        half = modulus**2 / 2
+        assert cloned.mean_occupations() == pytest.approx((half, half), abs=1e-6)
+
+    def test_stages_map_kets_to_kets(self):
+        c = Cutoff(16)
+        a1, a2 = PolarParam.from_value(0.6 - 0.2j), PolarParam.from_value(0.4j)
+        res = full_swap(a1, a2, 0.9, c)
+        ket = tensor_ket(coherent(a1, c), coherent(a2, c))
+        for _, stage in res.stages:
+            ket = stage(ket)
+        np.testing.assert_allclose(ket.normalize().amplitudes, res.output.amplitudes, atol=1e-15)
 
 
 class TestObstruction:
