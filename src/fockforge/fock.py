@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.special import gammainc
 
 from .config import DEFAULT_TOLERANCES, TAIL_BOUND
@@ -70,7 +68,8 @@ class PolarParam:
         m = abs(z)
         if m == 0.0:
             return cls(0j, 0.0, 0.0)
-        ph = cmath.phase(z)
+        # math.atan2 rounds an underflowing angle to 0, where cmath.phase raises
+        ph = math.atan2(z.imag, z.real)
         if ph <= -math.pi:  # map -pi to +pi
             ph = math.pi
         return cls(z, m, ph)
@@ -88,7 +87,7 @@ class PolarParam:
     @classmethod
     def parse(cls, text: str) -> "PolarParam":
         """Parse ``re,im`` (Cartesian) or ``mod@phase`` (polar) notation;
-        rejects non-finite numbers."""
+        rejects non-finite numbers and a Cartesian modulus that overflows."""
         text = text.strip()
         sep = "@" if "@" in text else ","
         parts = [float(p) for p in text.split(sep, 1)]
@@ -96,7 +95,10 @@ class PolarParam:
             raise ValueError(f"parameter {text!r} has a non-finite number")
         if sep == "@":
             return cls.from_polar(*parts)
-        return cls.from_value(complex(*parts))
+        try:
+            return cls.from_value(complex(*parts))
+        except OverflowError:
+            raise ValueError(f"parameter {text!r} has a non-finite modulus") from None
 
     @property
     def conj(self) -> complex:
@@ -262,28 +264,15 @@ def tensor_ket(a: Ket, b: Ket) -> Ket:
 
 
 def _expm_array(g: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a dense array.
+    """Matrix exponential of a dense array; raises on non-finite entries.
 
-    Exact zero structure is exploited: if the symmetrized sparsity pattern
-    splits into several connected components (conserved sectors of the
-    generators built here), each block is exponentiated separately.  This
-    changes nothing mathematically and keeps large truncations affordable.
+    The generators passed here are single ladder chains or zero, so there
+    are no conserved sectors to split; ``fockforge.lie`` exponentiates
+    sector by sector where there are.
     """
     if not np.all(np.isfinite(g)):
         raise ValueError("generator has non-finite entries")
-    pattern = csr_matrix((g != 0) | (g.T != 0))
-    n_comp, labels = connected_components(pattern, directed=False)
-    if n_comp == 1:
-        return _scipy_expm(g)
-    out = np.zeros_like(g)
-    for comp in range(n_comp):
-        idx = np.nonzero(labels == comp)[0]
-        if idx.size == 1:
-            out[idx[0], idx[0]] = np.exp(g[idx[0], idx[0]])
-        else:
-            block = g[np.ix_(idx, idx)]
-            out[np.ix_(idx, idx)] = _scipy_expm(block)
-    return out
+    return _scipy_expm(g)
 
 
 def expm(g: Operator) -> Operator:

@@ -2,8 +2,8 @@
 
 Includes the two-mode (Schwinger boson) realizations and the single-mode
 quadratic realization of su(1,1), all as dense matrices on truncated spaces,
-and the sector kernel that exponentiates the two-mode realizations one
-conserved chain at a time.
+and the sector kernel that exponentiates these realizations one conserved
+chain at a time.
 """
 
 from __future__ import annotations
@@ -123,16 +123,15 @@ def schwinger_su11(cutoff: Cutoff) -> LieTriple:
 @dataclass(frozen=True)
 class SectorBlock:
     """exp(r(e^{i phi} X+ - e^{-i phi} X-)) on one conserved chain of a
-    two-mode realization, kept factored as P W e^{-i r mu} W^T P^dagger.
+    realization, kept factored as P W e^{-i r mu} W^T P^dagger.
 
-    ``n1``/``n2`` are the chain's occupations in chain order.  S = W mu W^T
-    is the real symmetric tridiagonal matrix of the ladder coefficients and
-    P = diag(e^{i k (phi + pi/2)}), k the chain position, so that
-    P^dagger (e^{i phi} X+ - e^{-i phi} X-) P = -i S.
+    ``index`` holds the chain's flat indices into the one- or two-mode space,
+    in chain order.  S = W mu W^T is the real symmetric tridiagonal matrix of
+    the ladder coefficients and P = diag(e^{i k (phi + pi/2)}), k the chain
+    position, so that P^dagger (e^{i phi} X+ - e^{-i phi} X-) P = -i S.
     """
 
-    n1: np.ndarray
-    n2: np.ndarray
+    index: np.ndarray
     phase: np.ndarray
     vectors: np.ndarray
     spectrum: np.ndarray
@@ -147,19 +146,30 @@ class SectorBlock:
 
 
 def sector_chains(
-    algebra: str, cutoff: Cutoff
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Conserved chains of the Schwinger realization at this cutoff.
+    algebra: str, cutoff: Cutoff, modes: int = 2
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Conserved chains of a realization at this cutoff.
 
-    Yields ``(n1, n2, ladder)`` per sector, ``ladder[k]`` being the X+
-    coefficient from chain position k to k+1.
+    Yields the chain's occupations, one array per mode, then ``ladder``, whose
+    entry k is the X+ coefficient from chain position k to k+1.
 
-    su2:  sectors N = n1 + n2 = 0 ... 2 n_max, ladder sqrt((n1+1) n2); a sector
-          with N > n_max is the truncated chain n1 in [N - n_max, n_max].
-    su11: sectors D = n1 - n2 = -n_max ... n_max, ladder sqrt((n1+1)(n2+1)).
+    Two modes (Schwinger realizations):
+      su2:  sectors N = n1 + n2 = 0 ... 2 n_max, ladder sqrt((n1+1) n2); a
+            sector with N > n_max is the truncated chain n1 in [N - n_max, n_max].
+      su11: sectors D = n1 - n2 = -n_max ... n_max, ladder sqrt((n1+1)(n2+1)).
+    One mode (quadratic realization K+ = a†a†/2, su11 only): the parity
+    chains n = p, p+2, ... <= n_max, ladder sqrt((n+1)(n+2))/2.
     """
     n = cutoff.n_max
-    if algebra == "su2":
+    if modes == 1:
+        if algebra != "su11":
+            raise ValueError("the single-mode realization is su11 only")
+        for parity in (0, 1):
+            occ = np.arange(parity, n + 1, 2)
+            yield occ, 0.5 * np.sqrt((occ[:-1] + 1.0) * (occ[:-1] + 2.0))
+    elif modes != 2:
+        raise ValueError("modes must be 1 or 2")
+    elif algebra == "su2":
         for total in range(2 * n + 1):
             n1 = np.arange(max(0, total - n), min(total, n) + 1)
             n2 = total - n1
@@ -173,29 +183,35 @@ def sector_chains(
         raise ValueError("algebra must be 'su2' or 'su11'")
 
 
-def sector_blocks(algebra: str, kappa: PolarParam, cutoff: Cutoff) -> list[SectorBlock]:
+def sector_blocks(
+    algebra: str, kappa: PolarParam, cutoff: Cutoff, modes: int = 2
+) -> list[SectorBlock]:
     """The blocks of exp(kappa X+ - conj(kappa) X-), one per conserved chain;
-    su(1,1) parameters must pass the cosh guard."""
-    if algebra == "su11":
+    two-mode su(1,1) parameters must pass the cosh guard."""
+    if algebra == "su11" and modes == 2:
         _guard_cosh(kappa.modulus, "kappa")
     turn = kappa.phase + math.pi / 2
+    shape = (cutoff.dim,) * modes
     blocks = []
-    for n1, n2, ladder in sector_chains(algebra, cutoff):
-        mu, w = eigh_tridiagonal(np.zeros(n1.size), ladder)
-        phase = np.exp(1j * turn * np.arange(n1.size))
-        blocks.append(SectorBlock(n1, n2, phase, w, np.exp(-1j * kappa.modulus * mu)))
+    for *occ, ladder in sector_chains(algebra, cutoff, modes):
+        size = ladder.size + 1
+        mu, w = eigh_tridiagonal(np.zeros(size), ladder)
+        phase = np.exp(1j * turn * np.arange(size))
+        index = np.ravel_multi_index(tuple(occ), shape)
+        blocks.append(SectorBlock(index, phase, w, np.exp(-1j * kappa.modulus * mu)))
     return blocks
 
 
-def _sector_operator(algebra: str, kappa: PolarParam, cutoff: Cutoff) -> Operator:
+def sector_operator(algebra: str, kappa: PolarParam, cutoff: Cutoff, modes: int = 2) -> Operator:
+    """Dense exp(kappa X+ - conj(kappa) X-) assembled from its sector blocks;
+    kappa = 0 gives the exact identity."""
     if kappa.modulus == 0.0:
-        return identity(cutoff, modes=2)
-    d = cutoff.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for block in sector_blocks(algebra, kappa, cutoff):
-        idx = block.n1 * d + block.n2
-        out[np.ix_(idx, idx)] = block.matrix()
-    return Operator(out, 2, cutoff)
+        return identity(cutoff, modes)
+    dim = cutoff.dim ** modes
+    out = np.zeros((dim, dim), dtype=complex)
+    for block in sector_blocks(algebra, kappa, cutoff, modes):
+        out[np.ix_(block.index, block.index)] = block.matrix()
+    return Operator(out, modes, cutoff)
 
 
 def apply_sectors(algebra: str, kappa: PolarParam, ket: Ket) -> Ket:
@@ -205,11 +221,10 @@ def apply_sectors(algebra: str, kappa: PolarParam, ket: Ket) -> Ket:
         raise ValueError("apply_sectors acts on two-mode kets")
     if kappa.modulus == 0.0:
         return ket
-    d = ket.cutoff.dim
-    grid = ket.amplitudes.reshape(d, d)
-    out = np.empty((d, d), dtype=complex)
+    amps = ket.amplitudes
+    out = np.empty_like(amps)
     for block in sector_blocks(algebra, kappa, ket.cutoff):
-        out[block.n1, block.n2] = block.apply(grid[block.n1, block.n2])
+        out[block.index] = block.apply(amps[block.index])
     return Ket(out, 2, ket.cutoff)
 
 
@@ -220,7 +235,7 @@ def beamsplitter_UJ(kappa: PolarParam, cutoff: Cutoff) -> Operator:
 
     Preserves total occupation exactly and fixes the two-mode vacuum.
     """
-    return _sector_operator("su2", kappa, cutoff)
+    return sector_operator("su2", kappa, cutoff)
 
 
 def two_mode_squeezer_UK(kappa: PolarParam, cutoff: Cutoff) -> Operator:
@@ -228,7 +243,7 @@ def two_mode_squeezer_UK(kappa: PolarParam, cutoff: Cutoff) -> Operator:
     boost exp(kappa K+ - conj(kappa) K-) of the Schwinger realization,
     assembled from its fixed-(n1 - n2) sectors; creates and destroys photon
     pairs, preserving the occupation difference.  Guarded by the cosh bound."""
-    return _sector_operator("su11", kappa, cutoff)
+    return sector_operator("su11", kappa, cutoff)
 
 
 def single_mode_su11(cutoff: Cutoff) -> LieTriple:

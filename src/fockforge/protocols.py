@@ -9,26 +9,22 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh
 from .fock import (
     Cutoff,
     Ket,
-    Operator,
     PolarParam,
     annihilation,
-    expm,
     safe_indices,
     tail_warning,
     tensor_ket,
 )
-from .formulas import (
-    _hyperbolic_margin,
-    _restricted_conjugation,
-    _sinc,
-    squeeze_pair_exponent_coefficients,
-)
-from .lie import apply_sectors, beamsplitter_UJ, two_mode_squeezer_UK
+from .formulas import _hyperbolic_margin, _sinc, squeeze_pair_exponent_coefficients
+# the two builders are re-exported: fockforge.protocols.beamsplitter_UJ stays public
+from .lie import apply_sectors, beamsplitter_UJ, sector_blocks, two_mode_squeezer_UK
 from .report import Report, make_report
 from .states import (
     coherent_with_deficit,
@@ -240,6 +236,52 @@ def imperfect_clone(
     return TwoModeProtocolResult(output, predicted, f, stages, report)
 
 
+def _obstruction_blocks(
+    coeffs: dict[str, complex],
+    beta1: PolarParam,
+    beta2: PolarParam,
+    kappa: PolarParam,
+    cutoff: Cutoff,
+    margin: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Safe blocks of U (S1 S2) U†, exp(X) and S1 S2 at ``margin``.
+
+    The safe block keeps the complete total-occupation sectors N <= cap,
+    which U preserves, so U's safe rows vanish outside it and the
+    conjugation needs only U's blocks for those sectors.  exp(X) pairs
+    occupations up to the cutoff, so its safe columns come from the sparse X
+    on the whole truncated space.
+    """
+    d = cutoff.dim
+    keep = safe_indices(cutoff, margin, modes=2)
+    u = np.zeros((keep.size, keep.size), dtype=complex)
+    # su(2) blocks come in sector order N = 0, 1, ...
+    for block in sector_blocks("su2", kappa, cutoff)[: cutoff.n_max - margin + 1]:
+        pos = np.searchsorted(keep, block.index)
+        u[np.ix_(pos, pos)] = block.matrix()
+
+    i1, i2 = keep // d, keep % d
+    s1 = squeeze(beta1, cutoff).entries
+    s2 = squeeze(beta2, cutoff).entries
+    pair = s1[np.ix_(i1, i1)] * s2[np.ix_(i2, i2)]
+
+    a = sparse.csr_array(annihilation(cutoff).entries)
+    ad = a.conj().T
+    eye = sparse.eye_array(d, dtype=complex)
+    x = (
+        coeffs["a1dag2"] * sparse.kron(ad @ ad, eye)
+        + coeffs["a1sq"] * sparse.kron(a @ a, eye)
+        + coeffs["a2dag2"] * sparse.kron(eye, ad @ ad)
+        + coeffs["a2sq"] * sparse.kron(eye, a @ a)
+        + coeffs["pair_create"] * sparse.kron(ad, ad)
+        + coeffs["pair_destroy"] * sparse.kron(a, a)
+    )
+    columns = np.zeros((d * d, keep.size), dtype=complex)
+    columns[keep, np.arange(keep.size)] = 1.0
+    exp_x = expm_multiply(x, columns)[keep]
+    return u @ pair @ u.conj().T, exp_x, pair
+
+
 def squeezed_swap_obstruction(
     beta1: PolarParam,
     beta2: PolarParam,
@@ -266,31 +308,10 @@ def squeezed_swap_obstruction(
     coeffs = squeeze_pair_exponent_coefficients(beta1.value, beta2.value, kappa.value)
     cross = coeffs["pair_create"]
 
-    u = beamsplitter_UJ(kappa, cutoff)
-    pair = np.kron(squeeze(beta1, cutoff).entries, squeeze(beta2, cutoff).entries)
-
-    a = annihilation(cutoff).entries
-    ad = a.conj().T
-    eye = np.eye(cutoff.dim, dtype=complex)
-    x = (
-        coeffs["a1dag2"] * np.kron(ad @ ad, eye)
-        + coeffs["a1sq"] * np.kron(a @ a, eye)
-        + coeffs["a2dag2"] * np.kron(eye, ad @ ad)
-        + coeffs["a2sq"] * np.kron(eye, a @ a)
-        + coeffs["pair_create"] * np.kron(ad, ad)
-        + coeffs["pair_destroy"] * np.kron(a, a)
-    )
-    exp_x = expm(Operator(x, 2, cutoff)).entries
-
-    keep = safe_indices(cutoff, margin, modes=2)
-    conjugated = _restricted_conjugation(u.entries, pair, keep)
+    conjugated, exp_x, pair = _obstruction_blocks(coeffs, beta1, beta2, kappa, cutoff, margin)
     residuals = {
-        "exponent_match": float(
-            np.linalg.norm(conjugated - exp_x[np.ix_(keep, keep)], "fro")
-        ),
-        "invariance": float(
-            np.linalg.norm(conjugated - pair[np.ix_(keep, keep)], "fro")
-        ),
+        "exponent_match": float(np.linalg.norm(conjugated - exp_x, "fro")),
+        "invariance": float(np.linalg.norm(conjugated - pair, "fro")),
         "cross_term_modulus": abs(cross),
     }
     # The invariance residual is asserted only on the vanishing-cross-term

@@ -20,7 +20,7 @@ from .fock import (
     expm,
     tail_warning,
 )
-from .lie import SpinJ, SpinK, su2_generators, su11_generators
+from .lie import SpinJ, SpinK, sector_operator, su2_generators, su11_generators
 
 
 def vacuum(cutoff: Cutoff, modes: int = 1) -> Ket:
@@ -78,11 +78,11 @@ def coherent_series(alpha: PolarParam, cutoff: Cutoff) -> Ket:
 
 
 def squeeze(z: PolarParam, cutoff: Cutoff) -> Operator:
-    """Unitary exp((z (a†)^2 - conj(z) a^2) / 2)."""
-    a = annihilation(cutoff)
-    ad = dagger(a)
-    gen = 0.5 * (z.value * (ad @ ad) - z.conj * (a @ a))
-    return expm(gen)
+    """Unitary exp((z (a†)^2 - conj(z) a^2) / 2), the su(1,1) boost
+    exp(z K+ - conj(z) K-) of the quadratic realization K+ = (a†)^2/2,
+    assembled from its even and odd parity chains; z = 0 is the exact identity.
+    """
+    return sector_operator("su11", z, cutoff, modes=1)
 
 
 def phase_factors(t: float, cutoff: Cutoff) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fockforge import (
     Cutoff,
@@ -26,8 +28,11 @@ from fockforge import (
     tensor,
     tensor_ket,
 )
-from fockforge.fock import safe_indices
+from fockforge.fock import _expm_array, safe_indices
 from fockforge.states import coherent, displacement, phase_rotation
+
+
+parts = st.floats(-1e307, 1e307)
 
 
 def series_expm(g: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -82,10 +87,28 @@ class TestPolarParam:
     def test_parse(self, text, value):
         assert PolarParam.parse(text).value == pytest.approx(value)
 
-    @pytest.mark.parametrize("text", ["nan,0", "1,inf", "inf@0", "1@nan", "1e400"])
+    # 1.7e308,1.7e308: both parts are finite, but the modulus overflows
+    @pytest.mark.parametrize("text", ["nan,0", "1,inf", "inf@0", "1@nan", "1e400", "1.7e308,1.7e308"])
     def test_parse_rejects_non_finite(self, text):
         with pytest.raises(ValueError, match="non-finite"):
             PolarParam.parse(text)
+
+    # parts up to 1e307 keep the modulus finite; the overflow is a case above.
+    # The example's angle underflows, which cmath.phase turned into a crash.
+    @given(parts, parts)
+    @example(6.597382799517139e163, 1.6297700968526833e-160)
+    def test_parse_cartesian_roundtrip(self, re, im):
+        p = PolarParam.parse(f"{re!r},{im!r}")
+        assert p.value == complex(re, im)
+        assert PolarParam.parse(f"{p.modulus!r}@{p.phase!r}").value == pytest.approx(p.value, rel=1e-15)
+
+    @given(st.floats(0.0, 1e300), st.floats(-math.pi, math.pi, exclude_min=True))
+    def test_parse_polar_roundtrip(self, modulus, phase):
+        p = PolarParam.parse(f"{modulus!r}@{phase!r}")
+        assert p.modulus == modulus
+        assert p.phase == (phase if modulus > 0 else 0.0)
+        again = PolarParam.parse(f"{p.value.real!r},{p.value.imag!r}")
+        assert again.value == p.value
 
 
 class TestLadders:
@@ -187,6 +210,14 @@ class TestExpm:
         z = Operator(np.zeros((5, 5), dtype=complex), 1, c)
         np.testing.assert_array_equal(expm(z).entries, np.eye(5))
 
+    def test_two_mode_zero_generator_is_exact_identity(self):
+        # every level of a zero generator is its own sector; unsplit, the
+        # dense exponential must still return the identity exactly
+        c = Cutoff(6)
+        zero = np.zeros((c.dim ** 2, c.dim ** 2), dtype=complex)
+        np.testing.assert_array_equal(_expm_array(zero), np.eye(c.dim ** 2))
+        np.testing.assert_array_equal(expm(Operator(zero, 2, c)).entries, np.eye(c.dim ** 2))
+
     def test_diagonal_phase(self):
         c = Cutoff(2)
         g = Operator(1j * math.pi * np.diag([0.0, 1.0, 2.0]).astype(complex), 1, c)
@@ -202,7 +233,7 @@ class TestExpm:
             assert np.linalg.norm(got - want, 2) < 1e-12 * np.linalg.norm(want, 2)
 
     def test_blocked_path_matches_dense(self):
-        # a generator with two decoupled sectors exercises the component split
+        # a generator with two decoupled sectors, exponentiated in one piece
         rng = np.random.default_rng(5)
         blocks = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
         g = np.zeros((8, 8), dtype=complex)

@@ -52,6 +52,25 @@ def closure_residuals(triple, keep):
     return [float(np.linalg.norm(r[np.ix_(k, k)], "fro")) for r in rels]
 
 
+def wigner_small_d(two_j, beta):
+    """d^j_{m'm}(beta) = <j m'|exp(-i beta Jy)|j m> by Wigner's sum formula,
+    rows and columns indexed by j + m' and j + m."""
+    f = math.factorial
+    c, s = math.cos(beta / 2), math.sin(beta / 2)
+    d = np.zeros((two_j + 1, two_j + 1))
+    for a in range(two_j + 1):
+        for b in range(two_j + 1):
+            terms = (
+                (-1) ** (a - b + k)
+                / (f(b - k) * f(k) * f(a - b + k) * f(two_j - a - k))
+                * c ** (two_j + b - a - 2 * k)
+                * s ** (a - b + 2 * k)
+                for k in range(max(0, b - a), min(b, two_j - a) + 1)
+            )
+            d[a, b] = math.sqrt(f(a) * f(two_j - a) * f(b) * f(two_j - b)) * sum(terms)
+    return d
+
+
 class TestSu2:
     def test_spin_half_matrices(self):
         triple = su2_generators(SpinJ(1))
@@ -219,6 +238,36 @@ class TestSectorKernel:
         triple = realization(cut)
         gen = kappa.value * triple.plus.entries - kappa.conj * triple.minus.entries
         assert np.abs(builder(kappa, cut).entries - dense_expm(gen)).max() <= 1e-13
+
+    @pytest.mark.parametrize("total", [1, 4, 7])
+    @pytest.mark.parametrize("kappa", [PolarParam.from_polar(0.7, 0.0), PolarParam.from_polar(1.3, -2.1)])
+    def test_beamsplitter_block_is_wigner_small_d(self, total, kappa):
+        # sector N = n1 + n2 carries spin J = N/2 with m = n1 - J, and
+        # U_J = e^{i phi J3} exp(|k|(J+ - J-)) e^{-i phi J3}, exp(|k|(J+ - J-)) being
+        # the y rotation exp(-i beta Jy) at beta = -2|k|:
+        #   <n1'|U_J|n1> = e^{i phi (n1' - n1)} d^J_{m'm}(-2|k|)
+        cut = Cutoff(9)
+        n1 = np.arange(total + 1)
+        idx = n1 * cut.dim + (total - n1)
+        block = beamsplitter_UJ(kappa, cut).entries[np.ix_(idx, idx)]
+        phase = np.exp(1j * kappa.phase * (n1[:, None] - n1[None, :]))
+        want = phase * wigner_small_d(total, -2 * kappa.modulus)
+        assert np.abs(block - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_max", [1, 4, 9])
+    def test_single_mode_chains_split_by_parity(self, n_max):
+        chains = list(sector_chains("su11", Cutoff(n_max), modes=1))
+        assert [occ.tolist() for occ, _ in chains] == [
+            list(range(0, n_max + 1, 2)),
+            list(range(1, n_max + 1, 2)),
+        ]
+        for occ, ladder in chains:
+            # K+ = (a†)^2 / 2 moves |n> to |n+2> with sqrt((n+1)(n+2)) / 2
+            np.testing.assert_array_equal(ladder, np.sqrt((occ[:-1] + 1.0) * (occ[:-1] + 2)) / 2)
+
+    def test_single_mode_realization_is_su11_only(self):
+        with pytest.raises(ValueError):
+            list(sector_chains("su2", Cutoff(4), modes=1))
 
     @pytest.mark.parametrize("kappa", [PolarParam.from_polar(0.5, 0.7), PolarParam.from_polar(1.0, -2.6)])
     def test_squeezed_vacuum_oracle(self, kappa):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as dense_expm
 
 from fockforge import (
     Cutoff,
@@ -20,12 +21,17 @@ from fockforge import (
     imperfect_clone,
     number,
     residual,
+    squeeze,
     squeezed_swap_obstruction,
     tensor,
     tensor_ket,
     two_mode_squeezer_UK,
     vacuum,
 )
+from fockforge.fock import safe_indices
+from fockforge.formulas import _hyperbolic_margin, squeeze_pair_exponent_coefficients
+from fockforge.protocols import _obstruction_blocks
+
 RNG = np.random.default_rng(31)
 
 
@@ -284,6 +290,58 @@ class TestObstruction:
         assert rep.residuals["exponent_match"] <= 1e-8
         assert "invariance" in rep.unasserted
         assert rep.residuals["invariance"] > 1e-3  # something really changed
+
+    @pytest.mark.parametrize("margin", [None, 0])
+    @pytest.mark.parametrize(
+        "beta1,beta2,kappa",
+        [
+            (PolarParam.from_value(0.3), PolarParam.from_value(0.3), PolarParam.from_value(0.4)),
+            (
+                PolarParam.from_value(0.3),
+                PolarParam.from_value(0.3),
+                PolarParam.from_polar(0.5, math.pi / 2),
+            ),
+            (
+                PolarParam.from_value(0.3 + 0.1j),
+                PolarParam.from_value(-0.2 + 0.25j),
+                PolarParam.from_polar(0.7, -1.2),
+            ),
+        ],
+        ids=["invariant", "obstructed", "generic"],
+    )
+    def test_safe_block_matches_dense_route(self, beta1, beta2, kappa, margin):
+        # reference: the dense U, the np.kron squeeze pair and one dense
+        # expm of X on the whole d^2 space, sliced to the safe block
+        cut = Cutoff(14)
+        margin = _hyperbolic_margin(cut) if margin is None else margin
+        coeffs = squeeze_pair_exponent_coefficients(beta1.value, beta2.value, kappa.value)
+        u = beamsplitter_UJ(kappa, cut).entries
+        pair = np.kron(squeeze(beta1, cut).entries, squeeze(beta2, cut).entries)
+        a = annihilation(cut).entries
+        ad = a.conj().T
+        eye = np.eye(cut.dim)
+        x = (
+            coeffs["a1dag2"] * np.kron(ad @ ad, eye)
+            + coeffs["a1sq"] * np.kron(a @ a, eye)
+            + coeffs["a2dag2"] * np.kron(eye, ad @ ad)
+            + coeffs["a2sq"] * np.kron(eye, a @ a)
+            + coeffs["pair_create"] * np.kron(ad, ad)
+            + coeffs["pair_destroy"] * np.kron(a, a)
+        )
+        keep = safe_indices(cut, margin, modes=2)
+        block = np.ix_(keep, keep)
+        want = ((u @ pair @ u.conj().T)[block], dense_expm(x)[block], pair[block])
+
+        got = _obstruction_blocks(coeffs, beta1, beta2, kappa, cut, margin)
+        for mine, ref in zip(got, want):
+            assert np.abs(mine - ref).max() <= 1e-12
+        rep = squeezed_swap_obstruction(beta1, beta2, kappa, cut, margin)
+        ref_residuals = {
+            "exponent_match": np.linalg.norm(want[0] - want[1], "fro"),
+            "invariance": np.linalg.norm(want[0] - want[2], "fro"),
+        }
+        for key, value in ref_residuals.items():
+            assert abs(rep.residuals[key] - value) <= 1e-12
 
     def test_guard(self):
         with pytest.raises(ValueError):

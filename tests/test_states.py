@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm as dense_expm
+from scipy.special import gammaln
 
 from fockforge import (
     Cutoff,
@@ -143,6 +147,36 @@ class TestSqueeze:
         s = squeeze(z, c)
         s_neg = squeeze(PolarParam.from_value(-z.value), c)
         assert np.abs(dagger(s).entries - s_neg.entries).max() < 1e-10
+
+    @pytest.mark.parametrize("z", [PolarParam.from_polar(0.6, 0.9), PolarParam.from_polar(0.8, -2.4)])
+    def test_squeezed_vacuum_oracle(self, z):
+        # S(z)|0> = (cosh r)^{-1/2} sum_n (e^{i phi} tanh r)^n sqrt((2n)!)/(2^n n!) |2n>,
+        # r = |z|, phi = arg z.  The sign is +: at z = 0.6@0.9 the factor
+        # -e^{i phi} tanh r misses column 0 by 0.70.  The whole column is
+        # compared, so r stays where the truncation at n = 144 is below 1e-13
+        # (at r = 1 it moves the last amplitude by 4e-10, dense expm alike).
+        cut = Cutoff(144)
+        r = z.modulus
+        n = np.arange(cut.n_max // 2 + 1)
+        log_mag = 0.5 * gammaln(2 * n + 1) - n * math.log(2) - gammaln(n + 1)
+        want = np.zeros(cut.dim, dtype=complex)
+        want[2 * n] = (np.exp(1j * z.phase) * math.tanh(r)) ** n * np.exp(log_mag)
+        want /= math.sqrt(math.cosh(r))
+        column = squeeze(z, cut).entries[:, 0]
+        assert np.abs(column - want).max() <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 3.0), st.floats(-math.pi, math.pi), st.integers(1, 20))
+    def test_matches_unsplit_exponential(self, modulus, phase, n_max):
+        # second route: one dense exponential of (z a†² - conj(z) a²)/2 across both
+        # parity chains; moduli run past the two-mode cosh guard at acosh 3 = 1.76,
+        # and n_max = 1 makes both chains single levels
+        z = PolarParam.from_polar(modulus, phase)
+        cut = Cutoff(n_max)
+        a = annihilation(cut).entries
+        ad = a.conj().T
+        gen = 0.5 * (z.value * (ad @ ad) - z.conj * (a @ a))
+        assert np.abs(squeeze(z, cut).entries - dense_expm(gen)).max() <= 1e-13
 
 
 class TestPerelomovSu2:
