@@ -18,6 +18,8 @@ import cmath
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import norm as sparse_norm
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh, default_margin
 from .fock import (
@@ -29,7 +31,7 @@ from .fock import (
     tail_warning,
     _expm_array,
 )
-from .lie import beamsplitter_UJ, two_mode_squeezer_UK
+from .lie import safe_rows
 from .report import Report, make_report
 from .states import (
     coherent,
@@ -72,26 +74,43 @@ def _hyperbolic_margin(cutoff: Cutoff) -> int:
     return max(0, cutoff.n_max - HYPERBOLIC_SAFE_BLOCK)
 
 
-def _restricted_conjugation(u: np.ndarray, a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _restricted_conjugation(u, a, keep: np.ndarray | None = None):
     """Safe block of U A U†, computed with slim matrix products.
 
-    Identical to projecting the full conjugation with the safe projector.
+    ``u`` holds U's rows on the safe subspace, dense or sparse, or is the
+    whole U and ``keep`` picks those rows.  Identical to projecting the full
+    conjugation with the safe projector.
     """
-    rows = u[keep, :]
+    rows = u if keep is None else u[keep, :]
     return rows @ a @ rows.conj().T
 
 
-def _conjugation_residual(
-    u: np.ndarray, a: np.ndarray, rhs: np.ndarray, keep: np.ndarray
-) -> float:
-    block = _restricted_conjugation(u, a, keep) - rhs[np.ix_(keep, keep)]
+def _conjugation_residual(u, a, rhs, keep: np.ndarray | None = None) -> float:
+    """Frobenius norm of the safe block of U A U† - rhs.  With ``keep``, u and
+    rhs are whole; without it, u holds U's safe rows and rhs is the block."""
+    block = _restricted_conjugation(u, a, keep)
+    block = block - (rhs if keep is None else rhs[np.ix_(keep, keep)])
+    if sparse.issparse(block):
+        return float(sparse_norm(block, "fro"))
     return float(np.linalg.norm(block, "fro"))
 
 
-def _two_mode_ladders(cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
-    a = annihilation(cutoff).entries
-    eye = np.eye(cutoff.dim, dtype=complex)
-    return np.kron(a, eye), np.kron(eye, a)
+def _two_mode_ladders(cutoff: Cutoff) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """Sparse a1 = a (x) 1 and a2 = 1 (x) a on the two-mode space."""
+    a = sparse.csr_array(annihilation(cutoff).entries)
+    eye = sparse.eye_array(cutoff.dim, dtype=complex)
+    return sparse.kron(a, eye, format="csr"), sparse.kron(eye, a, format="csr")
+
+
+def _squeeze_pair_block(
+    alpha: PolarParam, beta: PolarParam, cutoff: Cutoff, keep: np.ndarray
+) -> np.ndarray:
+    """S1(alpha) S2(beta) on the two-mode flat indices ``keep``, as a product
+    of single-mode blocks."""
+    i1, i2 = np.divmod(keep, cutoff.dim)
+    s1 = squeeze(alpha, cutoff).entries
+    s2 = squeeze(beta, cutoff).entries
+    return s1[np.ix_(i1, i1)] * s2[np.ix_(i2, i2)]
 
 
 def squeeze_pair_exponent_coefficients(
@@ -141,8 +160,8 @@ def check_J_rotation(
     tol = DEFAULT_TOLERANCES.identity_residual if tolerance is None else tolerance
 
     a1, a2 = _two_mode_ladders(cutoff)
-    u = beamsplitter_UJ(t, cutoff).entries
     keep = safe_indices(cutoff, margin, modes=2)
+    rows = safe_rows("su2", t, cutoff, keep)
 
     m = t.modulus
     c = math.cos(m)
@@ -152,8 +171,8 @@ def check_J_rotation(
 
     coeff = np.array([[c, ts.conjugate()], [-ts, c]])
     residuals = {
-        "a1_conjugation": _conjugation_residual(u, a1, rhs1, keep),
-        "a2_conjugation": _conjugation_residual(u, a2, rhs2, keep),
+        "a1_conjugation": _conjugation_residual(rows, a1, rhs1[keep][:, keep]),
+        "a2_conjugation": _conjugation_residual(rows, a2, rhs2[keep][:, keep]),
         "su2_unitarity": float(np.linalg.norm(coeff.conj().T @ coeff - np.eye(2), "fro")),
         "su2_determinant": float(abs(np.linalg.det(coeff) - 1.0)),
     }
@@ -177,9 +196,9 @@ def check_K_rotation(
     _guard_cosh(t.modulus, "t")
 
     a1, a2 = _two_mode_ladders(cutoff)
-    a2d = a2.conj().T
-    u = two_mode_squeezer_UK(t, cutoff).entries
+    a2d = a2.conj().T.tocsr()
     keep = safe_indices(cutoff, margin, modes=2)
+    rows = safe_rows("su11", t, cutoff, keep)
 
     m = t.modulus
     ch = math.cosh(m)
@@ -188,8 +207,8 @@ def check_K_rotation(
     rhs2 = ch * a2d - ts.conjugate() * a1
 
     residuals = {
-        "a1_conjugation": _conjugation_residual(u, a1, rhs1, keep),
-        "a2dag_conjugation": _conjugation_residual(u, a2d, rhs2, keep),
+        "a1_conjugation": _conjugation_residual(rows, a1, rhs1[keep][:, keep]),
+        "a2dag_conjugation": _conjugation_residual(rows, a2d, rhs2[keep][:, keep]),
         "su11_normalization": float(abs(ch * ch - math.sinh(m) ** 2 - 1.0)),
     }
     return make_report("check_K_rotation", (t,), cutoff, margin, residuals, {}, tol)
@@ -414,14 +433,13 @@ def check_UJ_squeeze_invariance(
     beta = PolarParam.from_value(alpha.value * t.conj / t.value)
     coeffs = squeeze_pair_exponent_coefficients(alpha.value, beta.value, t.value)
 
-    u = beamsplitter_UJ(t, cutoff).entries
-    s1 = squeeze(alpha, cutoff).entries
-    s2 = squeeze(beta, cutoff).entries
-    pair = np.kron(s1, s2)  # S1(alpha) S2(beta) on the two-mode space
-
+    # U preserves n1 + n2, so its safe rows vanish outside the safe block and
+    # the conjugation needs only the blocks of U and of S1(alpha) S2(beta)
     keep = safe_indices(cutoff, margin, modes=2)
+    u = safe_rows("su2", t, cutoff, keep)[:, keep].toarray()
+    pair = _squeeze_pair_block(alpha, beta, cutoff, keep)
     residuals = {
-        "invariance": _conjugation_residual(u, pair, pair, keep),
+        "invariance": _conjugation_residual(u, pair, pair),
         "mode1_coefficient": abs(2 * coeffs["a1dag2"] - alpha.value),
         "mode2_coefficient": abs(2 * coeffs["a2dag2"] - beta.value),
         "pair_coefficient": abs(coeffs["pair_create"]),

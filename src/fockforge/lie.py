@@ -3,7 +3,7 @@
 Includes the two-mode (Schwinger boson) realizations and the single-mode
 quadratic realization of su(1,1), all as dense matrices on truncated spaces,
 and the sector kernel that exponentiates these realizations one conserved
-chain at a time.
+chain at a time, whole, on a ket, or on the rows of a safe block.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
 from .config import _guard_cosh
@@ -184,20 +185,30 @@ def sector_chains(
 
 
 def sector_blocks(
-    algebra: str, kappa: PolarParam, cutoff: Cutoff, modes: int = 2
+    algebra: str,
+    kappa: PolarParam,
+    cutoff: Cutoff,
+    modes: int = 2,
+    meets: np.ndarray | None = None,
 ) -> list[SectorBlock]:
-    """The blocks of exp(kappa X+ - conj(kappa) X-), one per conserved chain;
-    two-mode su(1,1) parameters must pass the cosh guard."""
+    """The blocks of exp(kappa X+ - conj(kappa) X-), one per conserved chain,
+    or only the chains through the flat indices ``meets``; two-mode su(1,1)
+    parameters must pass the cosh guard."""
     if algebra == "su11" and modes == 2:
         _guard_cosh(kappa.modulus, "kappa")
     turn = kappa.phase + math.pi / 2
     shape = (cutoff.dim,) * modes
+    if meets is not None:
+        hit = np.zeros(cutoff.dim ** modes, dtype=bool)
+        hit[meets] = True
     blocks = []
     for *occ, ladder in sector_chains(algebra, cutoff, modes):
+        index = np.ravel_multi_index(tuple(occ), shape)
+        if meets is not None and not hit[index].any():
+            continue
         size = ladder.size + 1
         mu, w = eigh_tridiagonal(np.zeros(size), ladder)
         phase = np.exp(1j * turn * np.arange(size))
-        index = np.ravel_multi_index(tuple(occ), shape)
         blocks.append(SectorBlock(index, phase, w, np.exp(-1j * kappa.modulus * mu)))
     return blocks
 
@@ -212,6 +223,33 @@ def sector_operator(algebra: str, kappa: PolarParam, cutoff: Cutoff, modes: int 
     for block in sector_blocks(algebra, kappa, cutoff, modes):
         out[np.ix_(block.index, block.index)] = block.matrix()
     return Operator(out, modes, cutoff)
+
+
+def safe_rows(
+    algebra: str, kappa: PolarParam, cutoff: Cutoff, keep: np.ndarray
+) -> sparse.csr_array:
+    """Rows ``keep`` of the two-mode exp(kappa X+ - conj(kappa) X-), as a
+    sparse |keep| x d^2 array, built from the chains that meet ``keep`` only.
+
+    On a safe block (complete sectors n1 + n2 <= cap) the su2 chains through
+    ``keep`` lie inside it, so the rows vanish outside ``keep``; the su11
+    chains through it run on up to the cutoff.  kappa = 0 gives the exact
+    identity rows.
+    """
+    dim = cutoff.dim ** 2
+    if kappa.modulus == 0.0:
+        ones = np.ones(keep.size, dtype=complex)
+        return sparse.csr_array((ones, (np.arange(keep.size), keep)), shape=(keep.size, dim))
+    pos = np.full(dim, -1)
+    pos[keep] = np.arange(keep.size)
+    rows, cols, vals = [], [], []
+    for block in sector_blocks(algebra, kappa, cutoff, meets=keep):
+        inside = pos[block.index] >= 0
+        rows.append(np.repeat(pos[block.index[inside]], block.index.size))
+        cols.append(np.tile(block.index, np.count_nonzero(inside)))
+        vals.append(block.matrix()[inside].ravel())
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sparse.csr_array(entries, shape=(keep.size, dim))
 
 
 def apply_sectors(algebra: str, kappa: PolarParam, ket: Ket) -> Ket:

@@ -22,16 +22,20 @@ from .fock import (
     tail_warning,
     tensor_ket,
 )
-from .formulas import _hyperbolic_margin, _sinc, squeeze_pair_exponent_coefficients
+from .formulas import (
+    _hyperbolic_margin,
+    _sinc,
+    _squeeze_pair_block,
+    squeeze_pair_exponent_coefficients,
+)
 # the two builders are re-exported: fockforge.protocols.beamsplitter_UJ stays public
-from .lie import apply_sectors, beamsplitter_UJ, sector_blocks, two_mode_squeezer_UK
+from .lie import apply_sectors, beamsplitter_UJ, safe_rows, two_mode_squeezer_UK
 from .report import Report, make_report
 from .states import (
     coherent_with_deficit,
     fidelity,
     occupation_expectations,
     phase_factors,
-    squeeze,
     vacuum,
 )
 
@@ -247,23 +251,15 @@ def _obstruction_blocks(
     """Safe blocks of U (S1 S2) U†, exp(X) and S1 S2 at ``margin``.
 
     The safe block keeps the complete total-occupation sectors N <= cap,
-    which U preserves, so U's safe rows vanish outside it and the
-    conjugation needs only U's blocks for those sectors.  exp(X) pairs
+    which U preserves, so U's safe rows (``safe_rows``) vanish outside it and
+    the conjugation needs only their block on it.  exp(X) pairs
     occupations up to the cutoff, so its safe columns come from the sparse X
     on the whole truncated space.
     """
     d = cutoff.dim
     keep = safe_indices(cutoff, margin, modes=2)
-    u = np.zeros((keep.size, keep.size), dtype=complex)
-    # su(2) blocks come in sector order N = 0, 1, ...
-    for block in sector_blocks("su2", kappa, cutoff)[: cutoff.n_max - margin + 1]:
-        pos = np.searchsorted(keep, block.index)
-        u[np.ix_(pos, pos)] = block.matrix()
-
-    i1, i2 = keep // d, keep % d
-    s1 = squeeze(beta1, cutoff).entries
-    s2 = squeeze(beta2, cutoff).entries
-    pair = s1[np.ix_(i1, i1)] * s2[np.ix_(i2, i2)]
+    u = safe_rows("su2", kappa, cutoff, keep)[:, keep].toarray()
+    pair = _squeeze_pair_block(beta1, beta2, cutoff, keep)
 
     a = sparse.csr_array(annihilation(cutoff).entries)
     ad = a.conj().T

@@ -54,8 +54,9 @@ def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float
     measured on the closed-form expansion as the norm shortfall of its
     restriction to the cutoff.
     """
-    raw = displacement(alpha, cutoff).apply(vacuum(cutoff))
+    # the closed form goes first: it rejects an amplitude too large to square
     deficit = abs(1.0 - coherent_series(alpha, cutoff).norm)
+    raw = displacement(alpha, cutoff).apply(vacuum(cutoff))
     return raw.normalize(), deficit
 
 
@@ -68,11 +69,17 @@ def coherent_series(alpha: PolarParam, cutoff: Cutoff) -> Ket:
     values restricted to the cutoff (not renormalized).
 
     Independent of the matrix-exponential route; serves as its cross-check.
+    Raises ValueError when |a|^2 overflows a float.
     """
     n = np.arange(cutoff.dim)
     if alpha.modulus == 0.0:
         return Ket(np.eye(cutoff.dim, dtype=complex)[0], 1, cutoff)
-    log_mag = -0.5 * alpha.modulus ** 2 + n * math.log(alpha.modulus) - 0.5 * gammaln(n + 1)
+    mean = alpha.modulus * alpha.modulus
+    if math.isinf(mean):
+        raise ValueError(
+            f"coherent amplitude |alpha| = {alpha.modulus:.4g} is too large: |alpha|^2 overflows"
+        )
+    log_mag = -0.5 * mean + n * math.log(alpha.modulus) - 0.5 * gammaln(n + 1)
     amps = np.exp(log_mag) * np.exp(1j * n * alpha.phase)
     return Ket(amps, 1, cutoff, normalized=False)
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import fockforge.protocols
 from fockforge.cli import main
 
@@ -47,6 +49,20 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert "--nmax" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["swap", "--a1", "1e200,0", "--a2", "0,1"], ["clone", "--alpha", "1e200,0"]],
+        ids=["swap", "clone"],
+    )
+    def test_overflowing_amplitude_is_config_error(self, argv, capsys):
+        # |alpha|^2 overflows a float: no cutoff can hold the state
+        code, out, err = run([*argv, "--nmax", "10"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "1e+200" in err
+        assert "Traceback" not in err
 
 
 class TestSwapCommand:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,32 @@ class TestUJSqueezeInvariance:
         assert abs(coeffs["pair_destroy"]) < 1e-15
         assert 2 * coeffs["a1dag2"] == pytest.approx(alpha)
         assert 2 * coeffs["a2dag2"] == pytest.approx(beta)
+
+
+class TestMemoryReach:
+    # one d^2 x d^2 complex array at n_max 80 takes 16 * 81^4 B, about 689 MB
+    @pytest.mark.parametrize(
+        "check,params",
+        [
+            (check_J_rotation, (PolarParam.from_polar(0.9, 0.4),)),
+            (check_K_rotation, (PolarParam.from_polar(0.45, -1.1),)),
+            (
+                check_UJ_squeeze_invariance,
+                (PolarParam.from_polar(0.8, 2.0), PolarParam.from_polar(0.4, 0.3)),
+            ),
+        ],
+        ids=["J", "K", "UJ"],
+    )
+    def test_two_mode_checks_never_hold_a_dense_operand(self, check, params):
+        cut = Cutoff(80)
+        tracemalloc.start()
+        try:
+            rep = check(*params, cut)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 16 * cut.dim ** 4 / 2
 
 
 class TestMarginMonotonicity:

@@ -26,7 +26,7 @@ from fockforge import (
 )
 from fockforge.config import COSH_GUARD
 from fockforge.fock import safe_indices
-from fockforge.lie import apply_sectors, sector_chains
+from fockforge.lie import apply_sectors, safe_rows, sector_chains
 
 BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}
 
@@ -225,6 +225,29 @@ class TestSectorKernel:
         dense = builder(kappa, cut).entries @ amps
         got = apply_sectors(algebra, kappa, Ket(amps, 2, cut)).amplitudes
         assert np.abs(got - dense).max() <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["su2", "su11"]).flatmap(lambda alg: st.tuples(st.just(alg), kappas(alg))),
+        st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    )
+    def test_safe_rows_match_dense_builder(self, drawn, sizes):
+        algebra, kappa = drawn
+        n_max, margin = sizes
+        cut = Cutoff(n_max)
+        keep = safe_indices(cut, margin, modes=2)
+        builder, _ = BUILDERS[algebra]
+        rows = safe_rows(algebra, kappa, cut, keep)
+        assert rows.shape == (keep.size, cut.dim ** 2)
+        assert np.abs(rows.toarray() - builder(kappa, cut).entries[keep]).max() <= 1e-13
+
+    @pytest.mark.parametrize("algebra", ["su2", "su11"])
+    @pytest.mark.parametrize("margin", [0, 2, 5])
+    def test_safe_rows_at_zero_are_identity_rows(self, algebra, margin):
+        cut = Cutoff(5)
+        keep = safe_indices(cut, margin, modes=2)
+        rows = safe_rows(algebra, PolarParam.from_value(0), cut, keep)
+        np.testing.assert_array_equal(rows.toarray(), np.eye(cut.dim ** 2)[keep])
 
     @settings(max_examples=40, deadline=None)
     @given(
