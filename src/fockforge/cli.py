@@ -16,6 +16,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -39,8 +40,6 @@ from .lie import (
     SpinJ,
 )
 from .protocols import (
-    CLONE_CUTOFF,
-    SWAP_CUTOFF,
     apply_beamsplitter,
     full_swap,
     imperfect_clone,
@@ -67,10 +66,9 @@ class RunConfig:
     output_format: str = "json"
     output_path: str | None = None
 
-    def cutoff(self, fallback: Cutoff | None = None) -> Cutoff | None:
-        if self.n_max is not None:
-            return Cutoff(self.n_max)
-        return fallback
+    def cutoff(self) -> Cutoff | None:
+        """The --nmax override, or None for the callee's own default."""
+        return None if self.n_max is None else Cutoff(self.n_max)
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,6 +107,8 @@ def _build_config(args) -> RunConfig:
             raise ConfigError(f"--margin {margin} exceeds --nmax {n_max}")
     if not math.isfinite(args.tol) or args.tol <= 0:
         raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     return RunConfig(
         n_max=n_max,
         margin=margin,
@@ -119,12 +119,19 @@ def _build_config(args) -> RunConfig:
     )
 
 
-def _emit(text: str, config: RunConfig):
+def _finish(config: RunConfig, text: str, messages: list[str], failed: bool) -> int:
+    """Write the body, print each distinct warning; 1 if a check failed or warned."""
     if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {config.output_path!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
+    for msg in dict.fromkeys(messages):
+        print(f"warning: {msg}", file=sys.stderr)
+    return 1 if failed or messages else 0
 
 
 def _run_collecting_warnings(fn):
@@ -139,7 +146,11 @@ def _run_collecting_warnings(fn):
 
 
 # ---------------------------------------------------------------------------
-# verify-all suite
+# the check table: verify-all's draws and the sweeps
+
+
+_ANGLE = "angle"  # a bare angle drawn from [-pi, pi), not a PolarParam
+_polar = PolarParam.from_polar
 
 
 def _draw(rng, low, high):
@@ -147,89 +158,108 @@ def _draw(rng, low, high):
 
 
 def _draw_param(rng, low, high) -> PolarParam:
-    return PolarParam.from_polar(_draw(rng, low, high), _draw(rng, -math.pi, math.pi))
+    return _polar(_draw(rng, low, high), _draw(rng, -math.pi, math.pi))
+
+
+def _draws(*ranges, count=VERIFY_DRAWS):
+    """draws(rng) giving ``count`` tuples, each drawn left to right: a
+    PolarParam for a (low, high) modulus range, a float for _ANGLE."""
+
+    def one(rng, r):
+        return _draw(rng, -math.pi, math.pi) if r == _ANGLE else _draw_param(rng, *r)
+
+    return lambda rng: [tuple(one(rng, r) for r in ranges) for _ in range(count)]
+
+
+def _phase_locked_draws(rng):
+    """Squeeze and displacement moduli that share one drawn phase."""
+    out = []
+    for _ in range(VERIFY_DRAWS):
+        phase = _draw(rng, -math.pi, math.pi)
+        out.append(tuple(_polar(_draw(rng, 0.05, 0.8), phase) for _ in range(2)))
+    return out
+
+
+@dataclass(frozen=True)
+class Check:
+    """A public check or protocol as verify-all draws it and a sweep varies it.
+
+    The function is looked up by ``name`` at call time, so a rebinding of
+    the module attribute reaches every call.
+    """
+
+    name: str
+    residuals: tuple[str, ...]
+    fidelities: tuple[str, ...]
+    draws: Callable  # rng -> verify-all's parameter tuples, in draw order
+    sweep: Callable  # swept value -> parameter tuple
+    margin: bool = True  # whether the function takes margin=
+
+    def run(self, params: tuple, config: RunConfig) -> Report:
+        kwargs = {"cutoff": config.cutoff(), "tolerance": config.tolerance}
+        if self.margin:
+            kwargs["margin"] = config.margin
+        result = globals()[self.name](*params, **kwargs)
+        return getattr(result, "report", result)
+
+
+FORMULA_CHECKS = (
+    Check("check_J_rotation",
+          ("a1_conjugation", "a2_conjugation", "su2_unitarity", "su2_determinant"), (),
+          _draws((0.05, 1.0)), lambda v: (_polar(v, 0.0),)),
+    Check("check_K_rotation", ("a1_conjugation", "a2dag_conjugation", "su11_normalization"), (),
+          _draws((0.05, 0.5)), lambda v: (_polar(v, 0.0),)),
+    Check("check_squeeze_conjugation", ("a_conjugation",), (),
+          _draws((0.05, 0.8)), lambda v: (_polar(v, 0.0),)),
+    Check("check_SDS", ("displacement_conjugation",), ("scale_up_state", "scale_down_state"),
+          _draws((0.05, 0.8), (0.1, 1.0)), lambda v: (_polar(v, 0.0), _polar(0.5, 0.3))),
+    Check("check_SSS_commute", ("commutator",), (),
+          _phase_locked_draws, lambda v: (_polar(v, 0.0), _polar(0.5, 0.0))),
+    Check("check_phase_formula",
+          ("displacement_conjugation", "vacuum_invariance"), ("rotated_state",),
+          _draws(_ANGLE, (0.1, 2.0)), lambda v: (v, _polar(1.0, 0.0))),
+    Check("check_UJ_squeeze_invariance",
+          ("invariance", "mode1_coefficient", "mode2_coefficient", "pair_coefficient"), (),
+          _draws((0.05, 1.0), (0.05, 0.5)), lambda v: (_polar(v, 0.0), _polar(0.3, 0.0))),
+)
+
+PROTOCOL_CHECKS = (
+    Check("full_swap", ("input_truncation_deficit",), ("swap",),
+          _draws((0.0, 1.5), (0.0, 1.5), _ANGLE),
+          lambda v: (_polar(v, 0.0), _polar(0.7, math.pi / 2), 0.0), margin=False),
+    Check("imperfect_clone",
+          ("marginal1_occupation", "marginal2_occupation", "input_truncation_deficit"), ("clone",),
+          lambda rng: [(_polar(modulus, 0.0),) for modulus in (0.5, 1.0, 2.0)],
+          lambda v: (_polar(v, 0.0),), margin=False),
+    Check("apply_beamsplitter", ("energy_conservation", "input_truncation_deficit"), ("protocol",),
+          _draws((0.0, 1.5), (0.0, 1.5), (0.1, 1.5), count=2),
+          lambda v: (_polar(v, 0.0), _polar(0.6, 1.0), _polar(0.8, 0.2)), margin=False),
+    Check("squeezed_swap_obstruction", ("exponent_match", "invariance", "cross_term_modulus"), (),
+          lambda rng: [(_polar(0.3, 0.0), _polar(0.3, 0.0), kappa)
+                       for kappa in (_polar(0.4, 0.0), _polar(0.5, math.pi / 2))],
+          lambda v: (_polar(0.3, 0.0), _polar(0.3, 0.0), _polar(v, math.pi / 2))),
+)
+
+SWEEP_REGISTRY = {  # name -> (runner(value, config), residual and fidelity columns)
+    c.name: (lambda value, config, c=c: c.run(c.sweep(value), config), c.residuals, c.fidelities)
+    for c in FORMULA_CHECKS + PROTOCOL_CHECKS
+}
+
+
+def _run_draws(checks, config: RunConfig, rng) -> list:
+    return [c.run(params, config) for c in checks for params in c.draws(rng)]
+
+
+# ---------------------------------------------------------------------------
+# verify-all suite
 
 
 def _formulas_reports(config: RunConfig, rng) -> list:
-    cut = config.cutoff()
-    marg = config.margin
-    tol = config.tolerance
-    reports = []
-    for _ in range(VERIFY_DRAWS):
-        reports.append(
-            check_J_rotation(_draw_param(rng, 0.05, 1.0), cut, marg, tol)
-        )
-    for _ in range(VERIFY_DRAWS):
-        reports.append(
-            check_K_rotation(_draw_param(rng, 0.05, 0.5), cut, marg, tol)
-        )
-    for _ in range(VERIFY_DRAWS):
-        reports.append(
-            check_squeeze_conjugation(_draw_param(rng, 0.05, 0.8), cut, marg, tol)
-        )
-    for _ in range(VERIFY_DRAWS):
-        reports.append(
-            check_SDS(
-                _draw_param(rng, 0.05, 0.8), _draw_param(rng, 0.1, 1.0), cut, marg, tol
-            )
-        )
-    for _ in range(VERIFY_DRAWS):
-        phase = _draw(rng, -math.pi, math.pi)
-        eps = PolarParam.from_polar(_draw(rng, 0.05, 0.8), phase)
-        alp = PolarParam.from_polar(_draw(rng, 0.05, 0.8), phase)
-        reports.append(check_SSS_commute(eps, alp, cut, marg, tol))
-    for _ in range(VERIFY_DRAWS):
-        reports.append(
-            check_phase_formula(
-                _draw(rng, -math.pi, math.pi), _draw_param(rng, 0.1, 2.0), cut, marg, tol
-            )
-        )
-    for _ in range(VERIFY_DRAWS):
-        reports.append(
-            check_UJ_squeeze_invariance(
-                _draw_param(rng, 0.05, 1.0), _draw_param(rng, 0.05, 0.5), cut, marg, tol
-            )
-        )
-    return reports
+    return _run_draws(FORMULA_CHECKS, config, rng)
 
 
 def _protocol_reports(config: RunConfig, rng) -> list:
-    tol = config.tolerance
-    swap_cut = config.cutoff(SWAP_CUTOFF)
-    clone_cut = config.cutoff(CLONE_CUTOFF)
-    reports = []
-    for _ in range(VERIFY_DRAWS):
-        a1 = _draw_param(rng, 0.0, 1.5)
-        a2 = _draw_param(rng, 0.0, 1.5)
-        delta = _draw(rng, -math.pi, math.pi)
-        reports.append(full_swap(a1, a2, delta, swap_cut, tol).report)
-    for modulus in (0.5, 1.0, 2.0):
-        reports.append(
-            imperfect_clone(PolarParam.from_polar(modulus, 0.0), clone_cut, 0.0, tol).report
-        )
-    for _ in range(2):
-        reports.append(
-            apply_beamsplitter(
-                _draw_param(rng, 0.0, 1.5),
-                _draw_param(rng, 0.0, 1.5),
-                _draw_param(rng, 0.1, 1.5),
-                swap_cut,
-                tol,
-            ).report
-        )
-    obstruction_cut = config.cutoff()
-    beta = PolarParam.from_polar(0.3, 0.0)
-    reports.append(
-        squeezed_swap_obstruction(
-            beta, beta, PolarParam.from_polar(0.4, 0.0), obstruction_cut, config.margin, tol
-        )
-    )
-    reports.append(
-        squeezed_swap_obstruction(
-            beta, beta, PolarParam.from_polar(0.5, math.pi / 2), obstruction_cut, config.margin, tol
-        )
-    )
-    return reports
+    return _run_draws(PROTOCOL_CHECKS, config, rng)
 
 
 def _triple_closure_residual(triple, margin_indices) -> float:
@@ -258,60 +288,20 @@ def _lie_reports(config: RunConfig) -> list:
         make_report("su2_closure", (), Cutoff(8), 0, {"closure": worst}, {}, tol)
     )
 
-    cut = Cutoff(30)
-    triple = su11_generators(SpinK(Fraction(1, 2), cut))
-    idx = np.arange(cut.dim - 1)  # one ladder step below the boundary
-    res_abstract = _triple_closure_residual(triple, idx)
-    reports.append(
-        make_report(
-            "su11_closure_abstract", (), cut, 1, {"closure": res_abstract}, {}, tol
-        )
+    cut10, cut20, cut30 = Cutoff(10), Cutoff(20), Cutoff(30)
+    keep10 = safe_indices(cut10, 1, modes=2)
+    closures = (  # (name, cutoff, margin, triple, kept indices)
+        # one ladder step below the boundary
+        ("su11_closure_abstract", cut30, 1, su11_generators(SpinK(Fraction(1, 2), cut30)),
+         np.arange(cut30.dim - 1)),
+        ("su11_closure_schwinger", cut10, 1, schwinger_su11(cut10), keep10),
+        # one ladder step = two occupation levels
+        ("su11_closure_single_mode", cut20, 2, single_mode_su11(cut20), np.arange(cut20.dim - 2)),
+        ("su2_closure_schwinger", cut10, 1, schwinger_su2(cut10), keep10),
     )
-
-    cut2 = Cutoff(10)
-    triple = schwinger_su11(cut2)
-    idx = safe_indices(cut2, 1, modes=2)
-    reports.append(
-        make_report(
-            "su11_closure_schwinger",
-            (),
-            cut2,
-            1,
-            {"closure": _triple_closure_residual(triple, idx)},
-            {},
-            tol,
-        )
-    )
-
-    cut3 = Cutoff(20)
-    triple = single_mode_su11(cut3)
-    idx = np.arange(cut3.dim - 2)  # one ladder step = two occupation levels
-    reports.append(
-        make_report(
-            "su11_closure_single_mode",
-            (),
-            cut3,
-            2,
-            {"closure": _triple_closure_residual(triple, idx)},
-            {},
-            tol,
-        )
-    )
-
-    cut4 = Cutoff(10)
-    triple = schwinger_su2(cut4)
-    idx = safe_indices(cut4, 1, modes=2)
-    reports.append(
-        make_report(
-            "su2_closure_schwinger",
-            (),
-            cut4,
-            1,
-            {"closure": _triple_closure_residual(triple, idx)},
-            {},
-            tol,
-        )
-    )
+    for name, cut, margin, triple, keep in closures:
+        residual = _triple_closure_residual(triple, keep)
+        reports.append(make_report(name, (), cut, margin, {"closure": residual}, {}, tol))
 
     # quarter-spin correspondence: the quadratic realization on the even
     # occupations reproduces the abstract K=1/4 coherent state.
@@ -369,10 +359,10 @@ def _universal_swap_reports(config: RunConfig, rng) -> list:
     )
 
     # permutation route against the protocol route
-    swap_cut = config.cutoff(SWAP_CUTOFF)
     a1 = PolarParam.from_polar(1.0, 0.3)
     a2 = PolarParam.from_polar(0.8, -1.1)
-    protocol = full_swap(a1, a2, 0.0, swap_cut, tol)
+    protocol = full_swap(a1, a2, 0.0, config.cutoff(), tol)
+    swap_cut = protocol.output.cutoff
     permuted = apply_swap(coherent(a1, swap_cut), coherent(a2, swap_cut))
     f = fidelity(permuted, protocol.output)
     reports.append(
@@ -391,20 +381,13 @@ def _universal_swap_reports(config: RunConfig, rng) -> list:
 
 def cmd_verify_all(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
-    blocks = (
-        _formulas_reports,
-        lambda cfg, r: _protocol_reports(cfg, r),
-        lambda cfg, r: _lie_reports(cfg),
-        _universal_swap_reports,
+    reports, messages = _run_collecting_warnings(
+        lambda: _formulas_reports(config, rng)
+        + _protocol_reports(config, rng)
+        + _lie_reports(config)
+        + _universal_swap_reports(config, rng)
     )
-    reports: list[Report] = []
-    all_messages: list[str] = []
-    for block in blocks:
-        result, messages = _run_collecting_warnings(lambda b=block: b(config, rng))
-        reports.extend(result)
-        all_messages.extend(messages)
-    for rep in reports:
-        all_messages.extend(rep.warnings)
+    messages = [*messages, *(msg for rep in reports for msg in rep.warnings)]
 
     body = {
         "config": config.to_json_dict(),
@@ -421,14 +404,11 @@ def cmd_verify_all(config: RunConfig) -> int:
                 f"{float(r.worst_residual)!r},{float(r.worst_fidelity_deficit)!r}\n"
             )
         text = buf.getvalue()
-    _emit(text, config)
-
-    for msg in dict.fromkeys(all_messages):
-        print(f"warning: {msg}", file=sys.stderr)
     failed = [r.name for r in reports if not r.passed]
+    code = _finish(config, text, messages, bool(failed))
     for name in failed:
         print(f"failed: {name}", file=sys.stderr)
-    return 1 if failed or all_messages else 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -436,177 +416,34 @@ def cmd_verify_all(config: RunConfig) -> int:
 
 
 def _protocol_exit(result, messages, config: RunConfig) -> int:
-    body = result.to_json_dict()
     if config.output_format == "json":
-        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
     else:
         n1, n2 = result.mean_occupations()
         text = (
             "protocol,fidelity,mean_occupation_1,mean_occupation_2,passed\n"
             f"{result.report.name},{float(result.fidelity)!r},{float(n1)!r},{float(n2)!r},{result.report.passed}\n"
         )
-    _emit(text, config)
-    combined = list(dict.fromkeys(list(result.report.warnings) + list(messages)))
-    for msg in combined:
-        print(f"warning: {msg}", file=sys.stderr)
-    return 0 if result.report.passed and not combined else 1
+    messages = [*result.report.warnings, *messages]
+    return _finish(config, text, messages, not result.report.passed)
 
 
 def cmd_swap(config: RunConfig, alpha1: PolarParam, alpha2: PolarParam, delta: float) -> int:
     result, messages = _run_collecting_warnings(
-        lambda: full_swap(alpha1, alpha2, delta, config.cutoff(SWAP_CUTOFF), config.tolerance)
+        lambda: full_swap(alpha1, alpha2, delta, config.cutoff(), config.tolerance)
     )
     return _protocol_exit(result, messages, config)
 
 
 def cmd_clone(config: RunConfig, alpha: PolarParam, delta: float = 0.0) -> int:
     result, messages = _run_collecting_warnings(
-        lambda: imperfect_clone(alpha, config.cutoff(CLONE_CUTOFF), delta, config.tolerance)
+        lambda: imperfect_clone(alpha, config.cutoff(), delta, config.tolerance)
     )
     return _protocol_exit(result, messages, config)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-def _sweep_runner_J(value, config):
-    return check_J_rotation(
-        PolarParam.from_polar(value, 0.0), config.cutoff(), config.margin, config.tolerance
-    )
-
-
-def _sweep_runner_K(value, config):
-    return check_K_rotation(
-        PolarParam.from_polar(value, 0.0), config.cutoff(), config.margin, config.tolerance
-    )
-
-
-def _sweep_runner_squeeze(value, config):
-    return check_squeeze_conjugation(
-        PolarParam.from_polar(value, 0.0), config.cutoff(), config.margin, config.tolerance
-    )
-
-
-def _sweep_runner_SDS(value, config):
-    return check_SDS(
-        PolarParam.from_polar(value, 0.0),
-        PolarParam.from_polar(0.5, 0.3),
-        config.cutoff(),
-        config.margin,
-        config.tolerance,
-    )
-
-
-def _sweep_runner_SSS(value, config):
-    return check_SSS_commute(
-        PolarParam.from_polar(value, 0.0),
-        PolarParam.from_polar(0.5, 0.0),
-        config.cutoff(),
-        config.margin,
-        config.tolerance,
-    )
-
-
-def _sweep_runner_phase(value, config):
-    return check_phase_formula(
-        value, PolarParam.from_polar(1.0, 0.0), config.cutoff(), config.margin, config.tolerance
-    )
-
-
-def _sweep_runner_UJ(value, config):
-    return check_UJ_squeeze_invariance(
-        PolarParam.from_polar(value, 0.0),
-        PolarParam.from_polar(0.3, 0.0),
-        config.cutoff(),
-        config.margin,
-        config.tolerance,
-    )
-
-
-def _sweep_runner_obstruction(value, config):
-    beta = PolarParam.from_polar(0.3, 0.0)
-    return squeezed_swap_obstruction(
-        beta,
-        beta,
-        PolarParam.from_polar(value, math.pi / 2),
-        config.cutoff(),
-        config.margin,
-        config.tolerance,
-    )
-
-
-def _sweep_runner_swap(value, config):
-    return full_swap(
-        PolarParam.from_polar(value, 0.0),
-        PolarParam.from_polar(0.7, math.pi / 2),
-        0.0,
-        config.cutoff(SWAP_CUTOFF),
-        config.tolerance,
-    ).report
-
-
-def _sweep_runner_clone(value, config):
-    return imperfect_clone(
-        PolarParam.from_polar(value, 0.0), config.cutoff(CLONE_CUTOFF), 0.0, config.tolerance
-    ).report
-
-
-def _sweep_runner_beamsplitter(value, config):
-    return apply_beamsplitter(
-        PolarParam.from_polar(value, 0.0),
-        PolarParam.from_polar(0.6, 1.0),
-        PolarParam.from_polar(0.8, 0.2),
-        config.cutoff(SWAP_CUTOFF),
-        config.tolerance,
-    ).report
-
-
-SWEEP_REGISTRY = {
-    "check_J_rotation": (
-        _sweep_runner_J,
-        ("a1_conjugation", "a2_conjugation", "su2_unitarity", "su2_determinant"),
-        (),
-    ),
-    "check_K_rotation": (
-        _sweep_runner_K,
-        ("a1_conjugation", "a2dag_conjugation", "su11_normalization"),
-        (),
-    ),
-    "check_squeeze_conjugation": (_sweep_runner_squeeze, ("a_conjugation",), ()),
-    "check_SDS": (
-        _sweep_runner_SDS,
-        ("displacement_conjugation",),
-        ("scale_up_state", "scale_down_state"),
-    ),
-    "check_SSS_commute": (_sweep_runner_SSS, ("commutator",), ()),
-    "check_phase_formula": (
-        _sweep_runner_phase,
-        ("displacement_conjugation", "vacuum_invariance"),
-        ("rotated_state",),
-    ),
-    "check_UJ_squeeze_invariance": (
-        _sweep_runner_UJ,
-        ("invariance", "mode1_coefficient", "mode2_coefficient", "pair_coefficient"),
-        (),
-    ),
-    "squeezed_swap_obstruction": (
-        _sweep_runner_obstruction,
-        ("exponent_match", "invariance", "cross_term_modulus"),
-        (),
-    ),
-    "full_swap": (_sweep_runner_swap, ("input_truncation_deficit",), ("swap",)),
-    "imperfect_clone": (
-        _sweep_runner_clone,
-        ("marginal1_occupation", "marginal2_occupation", "input_truncation_deficit"),
-        ("clone",),
-    ),
-    "apply_beamsplitter": (
-        _sweep_runner_beamsplitter,
-        ("energy_conservation", "input_truncation_deficit"),
-        ("protocol",),
-    ),
-}
 
 
 def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
@@ -617,12 +454,11 @@ def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
     runner, residual_keys, fidelity_keys = SWEEP_REGISTRY[check_name]
 
     reports = []
-    all_messages: list[str] = []
+    messages: list[str] = []
     for value in values:
-        rep, messages = _run_collecting_warnings(lambda v=value: runner(v, config))
+        rep, caught = _run_collecting_warnings(lambda v=value: runner(v, config))
         reports.append((value, rep))
-        all_messages.extend(messages)
-        all_messages.extend(rep.warnings)
+        messages += [*caught, *rep.warnings]
 
     if config.output_format == "json":
         body = {
@@ -641,12 +477,7 @@ def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
             row.append(str(r.passed))
             buf.write(",".join(row) + "\n")
         text = buf.getvalue()
-    _emit(text, config)
-
-    for msg in dict.fromkeys(all_messages):
-        print(f"warning: {msg}", file=sys.stderr)
-    failed = [v for v, r in reports if not r.passed]
-    return 1 if failed or all_messages else 0
+    return _finish(config, text, messages, not all(r.passed for _, r in reports))
 
 
 # ---------------------------------------------------------------------------
@@ -660,11 +491,18 @@ def _finite_delta(delta: float) -> float:
 
 
 def _parse_values(text: str) -> list[float]:
-    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-    bad = [tok for tok in tokens if not math.isfinite(float(tok))]
-    if bad:
-        raise ConfigError(f"--values must be finite, got {bad[0]!r}")
-    return [float(tok) for tok in tokens]
+    values = []
+    for tok in (tok.strip() for tok in text.split(",")):
+        if not tok:
+            continue
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"--values must be finite numbers, got {tok!r}")
+        values.append(value)
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
+import fockforge.cli
 import fockforge.protocols
-from fockforge.cli import main
+from fockforge.cli import SWEEP_REGISTRY, RunConfig, main
 
 
 def run(argv, capsys):
@@ -27,6 +29,12 @@ class TestConfigValidation:
     def test_margin_exceeding_nmax_is_config_error(self, capsys):
         code, _, _ = run(["swap", "--a1", "1,0", "--a2", "0,1", "--nmax", "8", "--margin", "9"], capsys)
         assert code == 2
+
+    def test_negative_seed_names_flag(self, capsys):
+        code, out, err = run(["verify-all", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -129,6 +137,35 @@ class TestSweepCommand:
         assert out == ""
         assert "'nan'" in err
 
+    def test_non_numeric_value_names_flag(self, capsys):
+        code, out, err = run(["sweep", "--check", "check_J_rotation", "--values", "0.2,abc"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --values must be finite numbers, got 'abc'\n"
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_REGISTRY))
+    def test_registry_columns_match_reports(self, name):
+        # a misspelled column would print as a silent nan in the CSV
+        runner, residual_keys, fidelity_keys = SWEEP_REGISTRY[name]
+        for value in (0.0, 0.3):
+            report = runner(value, RunConfig())
+            assert tuple(report.residuals) == residual_keys
+            assert tuple(report.fidelities) == fidelity_keys
+
+    def test_sweep_calls_the_current_module_binding(self, capsys, monkeypatch):
+        # wrappers installed by rebinding fockforge.cli attributes must see every call
+        calls = []
+        original = fockforge.cli.check_SSS_commute
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fockforge.cli, "check_SSS_commute", recording)
+        code, _, _ = run(["sweep", "--check", "check_SSS_commute", "--values", "0.1,0.2"], capsys)
+        assert code == 0
+        assert [args[0].modulus for args in calls] == [0.1, 0.2]
+
     def test_empty_grid_header_only(self, capsys):
         code, out, _ = run(
             ["sweep", "--check", "check_J_rotation", "--values", "", "--format", "csv"],
@@ -226,6 +263,26 @@ class TestOutputFile:
         }
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swap", "--a1", "0.5,0", "--a2", "0,0.5"],
+            ["sweep", "--check", "check_J_rotation", "--values", ""],
+        ],
+        ids=["swap", "sweep"],
+    )
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_out_is_config_error(self, argv, target, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+        code, out, err = run([*argv, "--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot write --out")
+        assert repr(str(path)) in err
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_identical_sweep_bodies(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -248,3 +305,19 @@ class TestDeterminism:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            ("7", "b3bf9fe3748b2e9f6d05d7eb4b8e8b85154154d7d1c6256db116e15092f66264"),
+            ("11", "1f2265dea3dd86e031bbf62062bbc57fb86ab7d1f9dae71a321b7aa41de5e959"),
+        ],
+    )
+    def test_verify_all_draw_order(self, seed, digest, capsys):
+        # params come from the rng alone, so numerical changes leave these digests alone
+        code, out, _ = run(["verify-all", "--seed", seed], capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 43
+        drawn = json.dumps([[r["name"], r["params"], r["n_max"], r["margin"]] for r in reports])
+        assert hashlib.sha256(drawn.encode()).hexdigest() == digest
