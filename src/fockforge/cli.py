@@ -8,6 +8,7 @@ warning fired, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
@@ -84,17 +85,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _out_error(path: str, reason: str) -> ConfigError:
+    return ConfigError(f"cannot write --out {path!r}: {reason}")
+
+
 def _build_config(args) -> RunConfig:
-    n_max = args.nmax
+    n_max, source = args.nmax, "--nmax"
     if n_max is None:
         env = os.environ.get(ENV_NMAX)
         if env is not None:
+            source = ENV_NMAX
             try:
                 n_max = int(env)
             except ValueError:
                 raise ConfigError(f"{ENV_NMAX} must be an integer, got {env!r}")
     if n_max is not None and n_max < 1:
-        raise ConfigError(f"--nmax must be >= 1, got {n_max}")
+        raise ConfigError(f"{source} must be >= 1, got {n_max}")
     margin = None
     if args.margin is not None and args.margin != "auto":
         try:
@@ -104,11 +110,17 @@ def _build_config(args) -> RunConfig:
         if margin < 0:
             raise ConfigError("--margin must be non-negative")
         if n_max is not None and margin > n_max:
-            raise ConfigError(f"--margin {margin} exceeds --nmax {n_max}")
+            raise ConfigError(f"--margin {margin} exceeds {source} {n_max}")
     if not math.isfinite(args.tol) or args.tol <= 0:
         raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    if args.out:
+        # fail before any check runs; the write itself still reports the rest
+        if os.path.isdir(args.out):
+            raise _out_error(args.out, os.strerror(errno.EISDIR))
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise _out_error(args.out, os.strerror(errno.ENOENT))
     return RunConfig(
         n_max=n_max,
         margin=margin,
@@ -119,14 +131,14 @@ def _build_config(args) -> RunConfig:
     )
 
 
-def _finish(config: RunConfig, text: str, messages: list[str], failed: bool) -> int:
+def _finish(config: RunConfig, text: str, messages: tuple[str, ...], failed: bool) -> int:
     """Write the body, print each distinct warning; 1 if a check failed or warned."""
     if config.output_path:
         try:
             with open(config.output_path, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {config.output_path!r}: {exc.strerror}")
+        except OSError as exc:  # permissions, or a path changed since the config check
+            raise _out_error(config.output_path, exc.strerror)
     else:
         sys.stdout.write(text)
     for msg in dict.fromkeys(messages):
@@ -135,7 +147,7 @@ def _finish(config: RunConfig, text: str, messages: list[str], failed: bool) -> 
 
 
 def _run_collecting_warnings(fn):
-    """Run a check, folding any truncation warnings into its report messages."""
+    """Run a check; return its result and the messages of its CutoffWarnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", CutoffWarning)
         result = fn()
@@ -387,7 +399,6 @@ def cmd_verify_all(config: RunConfig) -> int:
         + _lie_reports(config)
         + _universal_swap_reports(config, rng)
     )
-    messages = [*messages, *(msg for rep in reports for msg in rep.warnings)]
 
     body = {
         "config": config.to_json_dict(),
@@ -415,7 +426,8 @@ def cmd_verify_all(config: RunConfig) -> int:
 # single protocol commands
 
 
-def _protocol_exit(result, messages, config: RunConfig) -> int:
+def _protocol_exit(protocol, config: RunConfig) -> int:
+    result, messages = _run_collecting_warnings(protocol)
     if config.output_format == "json":
         text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
     else:
@@ -424,22 +436,19 @@ def _protocol_exit(result, messages, config: RunConfig) -> int:
             "protocol,fidelity,mean_occupation_1,mean_occupation_2,passed\n"
             f"{result.report.name},{float(result.fidelity)!r},{float(n1)!r},{float(n2)!r},{result.report.passed}\n"
         )
-    messages = [*result.report.warnings, *messages]
     return _finish(config, text, messages, not result.report.passed)
 
 
 def cmd_swap(config: RunConfig, alpha1: PolarParam, alpha2: PolarParam, delta: float) -> int:
-    result, messages = _run_collecting_warnings(
-        lambda: full_swap(alpha1, alpha2, delta, config.cutoff(), config.tolerance)
+    return _protocol_exit(
+        lambda: full_swap(alpha1, alpha2, delta, config.cutoff(), config.tolerance), config
     )
-    return _protocol_exit(result, messages, config)
 
 
 def cmd_clone(config: RunConfig, alpha: PolarParam, delta: float = 0.0) -> int:
-    result, messages = _run_collecting_warnings(
-        lambda: imperfect_clone(alpha, config.cutoff(), delta, config.tolerance)
+    return _protocol_exit(
+        lambda: imperfect_clone(alpha, config.cutoff(), delta, config.tolerance), config
     )
-    return _protocol_exit(result, messages, config)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +462,9 @@ def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
         return 2
     runner, residual_keys, fidelity_keys = SWEEP_REGISTRY[check_name]
 
-    reports = []
-    messages: list[str] = []
-    for value in values:
-        rep, caught = _run_collecting_warnings(lambda v=value: runner(v, config))
-        reports.append((value, rep))
-        messages += [*caught, *rep.warnings]
+    reports, messages = _run_collecting_warnings(
+        lambda: [(value, runner(value, config)) for value in values]
+    )
 
     if config.output_format == "json":
         body = {
@@ -537,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common], help="run a named check over a grid")
     p_sweep.add_argument("--check", required=True, help="registered check name")
     p_sweep.add_argument(
-        "--values", default="", help="comma-separated moduli for the swept parameter"
+        "--values", default="", help="comma-separated values of the swept parameter: "
+        "a modulus, or the angle t in radians for check_phase_formula (see README)"
     )
     return parser
 

@@ -356,17 +356,16 @@ def adequate_cutoff(alpha_abs: float, tail_bound: float = TAIL_BOUND) -> int:
     return n
 
 
-def tail_warning(alpha_abs: float, cutoff: Cutoff, context: str = "") -> str | None:
-    """Warn (and return the message) if the cutoff violates the tail rule."""
+def tail_warning(alpha_abs: float, cutoff: Cutoff, context: str = "") -> None:
+    """Raise a CutoffWarning if the cutoff violates the tail rule."""
     tail = poisson_tail(alpha_abs, cutoff.n_max)
     if tail < TAIL_BOUND:
-        return None
+        return
     msg = (
         f"cutoff inadequate{f' for {context}' if context else ''}: "
         f"|alpha|={alpha_abs:.4g} leaves Poisson tail {tail:.2e} above n_max={cutoff.n_max}"
     )
     warnings.warn(msg, CutoffWarning, stacklevel=3)
-    return msg
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh
@@ -17,19 +16,18 @@ from .fock import (
     Cutoff,
     Ket,
     PolarParam,
-    annihilation,
-    safe_indices,
     tail_warning,
     tensor_ket,
 )
 from .formulas import (
+    _conjugated_squeeze_pair,
     _hyperbolic_margin,
     _sinc,
-    _squeeze_pair_block,
+    _two_mode_ladders,
     squeeze_pair_exponent_coefficients,
 )
 # the two builders are re-exported: fockforge.protocols.beamsplitter_UJ stays public
-from .lie import apply_sectors, beamsplitter_UJ, safe_rows, two_mode_squeezer_UK
+from .lie import apply_sectors, beamsplitter_UJ, two_mode_squeezer_UK
 from .report import Report, make_report
 from .states import (
     coherent_with_deficit,
@@ -104,12 +102,9 @@ def apply_beamsplitter(
     cutoff = cutoff or SWAP_CUTOFF
     tol = DEFAULT_TOLERANCES.fidelity_deficit if tolerance is None else tolerance
 
-    messages = []
     # the beamsplitter truncates by total occupation: guard the combined amplitude
     combined = math.hypot(alpha1.modulus, alpha2.modulus)
-    msg = tail_warning(combined, cutoff, context="beamsplitter input")
-    if msg:
-        messages.append(msg)
+    tail_warning(combined, cutoff, context="beamsplitter input")
 
     stages = (("beamsplitter", partial(apply_sectors, "su2", kappa)),)
     incoming, in_deficit = _coherent_pair(alpha1, alpha2, cutoff)
@@ -136,7 +131,6 @@ def apply_beamsplitter(
         residuals,
         {"protocol": f},
         tol,
-        warnings=tuple(messages),
     )
     return TwoModeProtocolResult(output, predicted, f, stages, report)
 
@@ -156,12 +150,9 @@ def full_swap(
     cutoff = cutoff or SWAP_CUTOFF
     tol = DEFAULT_TOLERANCES.fidelity_deficit if tolerance is None else tolerance
 
-    messages = []
     # the beamsplitter truncates by total occupation: guard the combined amplitude
     combined = math.hypot(alpha1.modulus, alpha2.modulus)
-    msg = tail_warning(combined, cutoff, context="swap input")
-    if msg:
-        messages.append(msg)
+    tail_warning(combined, cutoff, context="swap input")
 
     kappa = PolarParam.from_polar(math.pi / 2, delta)
     stages = (
@@ -181,7 +172,6 @@ def full_swap(
         {"input_truncation_deficit": in_deficit},
         {"swap": f},
         tol,
-        warnings=tuple(messages),
     )
     return TwoModeProtocolResult(output, predicted, f, stages, report)
 
@@ -202,10 +192,7 @@ def imperfect_clone(
     cutoff = cutoff or CLONE_CUTOFF
     tol = DEFAULT_TOLERANCES.fidelity_deficit if tolerance is None else tolerance
 
-    messages = []
-    msg = tail_warning(alpha.modulus, cutoff, context="clone input")
-    if msg:
-        messages.append(msg)
+    tail_warning(alpha.modulus, cutoff, context="clone input")
 
     kappa = PolarParam.from_polar(math.pi / 4, delta)
     stages = (
@@ -235,7 +222,6 @@ def imperfect_clone(
         residuals,
         {"clone": f},
         tol,
-        warnings=tuple(messages),
     )
     return TwoModeProtocolResult(output, predicted, f, stages, report)
 
@@ -250,32 +236,24 @@ def _obstruction_blocks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Safe blocks of U (S1 S2) U†, exp(X) and S1 S2 at ``margin``.
 
-    The safe block keeps the complete total-occupation sectors N <= cap,
-    which U preserves, so U's safe rows (``safe_rows``) vanish outside it and
-    the conjugation needs only their block on it.  exp(X) pairs
-    occupations up to the cutoff, so its safe columns come from the sparse X
-    on the whole truncated space.
+    exp(X) pairs occupations up to the cutoff, so its safe columns come from
+    the sparse X on the whole truncated space.
     """
-    d = cutoff.dim
-    keep = safe_indices(cutoff, margin, modes=2)
-    u = safe_rows("su2", kappa, cutoff, keep)[:, keep].toarray()
-    pair = _squeeze_pair_block(beta1, beta2, cutoff, keep)
-
-    a = sparse.csr_array(annihilation(cutoff).entries)
-    ad = a.conj().T
-    eye = sparse.eye_array(d, dtype=complex)
+    keep, conjugated, pair = _conjugated_squeeze_pair(beta1, beta2, kappa, cutoff, margin)
+    a1, a2 = _two_mode_ladders(cutoff)
+    a1d, a2d = a1.conj().T, a2.conj().T
     x = (
-        coeffs["a1dag2"] * sparse.kron(ad @ ad, eye)
-        + coeffs["a1sq"] * sparse.kron(a @ a, eye)
-        + coeffs["a2dag2"] * sparse.kron(eye, ad @ ad)
-        + coeffs["a2sq"] * sparse.kron(eye, a @ a)
-        + coeffs["pair_create"] * sparse.kron(ad, ad)
-        + coeffs["pair_destroy"] * sparse.kron(a, a)
+        coeffs["a1dag2"] * (a1d @ a1d)
+        + coeffs["a1sq"] * (a1 @ a1)
+        + coeffs["a2dag2"] * (a2d @ a2d)
+        + coeffs["a2sq"] * (a2 @ a2)
+        + coeffs["pair_create"] * (a1d @ a2d)
+        + coeffs["pair_destroy"] * (a1 @ a2)
     )
-    columns = np.zeros((d * d, keep.size), dtype=complex)
+    columns = np.zeros((x.shape[0], keep.size), dtype=complex)
     columns[keep, np.arange(keep.size)] = 1.0
     exp_x = expm_multiply(x, columns)[keep]
-    return u @ pair @ u.conj().T, exp_x, pair
+    return conjugated, exp_x, pair
 
 
 def squeezed_swap_obstruction(

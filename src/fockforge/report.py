@@ -24,7 +24,6 @@ class Report:
     fidelities: dict[str, float]
     tolerance: float
     passed: bool
-    warnings: tuple[str, ...] = ()
     unasserted: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -70,7 +69,6 @@ def make_report(
     residuals: dict[str, float],
     fidelities: dict[str, float],
     tolerance: float,
-    warnings: tuple[str, ...] = (),
     unasserted: tuple[str, ...] = (),
 ) -> Report:
     return Report(
@@ -82,6 +80,5 @@ def make_report(
         fidelities=fidelities,
         tolerance=tolerance,
         passed=evaluate_passed(residuals, fidelities, tolerance, unasserted),
-        warnings=warnings,
         unasserted=unasserted,
     )

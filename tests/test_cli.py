@@ -95,6 +95,18 @@ class TestSwapCommand:
         assert code == 1
         assert "cutoff inadequate" in err
 
+    def test_clone_prints_each_warning_once_in_order(self, capsys):
+        code, _, err = run(["clone", "--alpha", "3,0", "--nmax", "10"], capsys)
+        assert code == 1
+        assert err.splitlines() == [
+            "warning: cutoff inadequate for clone input: "
+            "|alpha|=3 leaves Poisson tail 2.94e-01 above n_max=10",
+            "warning: cutoff inadequate for displacement: "
+            "|alpha|=3 leaves Poisson tail 2.94e-01 above n_max=10",
+            "warning: cutoff inadequate for displacement: "
+            "|alpha|=2.121 leaves Poisson tail 6.67e-03 above n_max=10",
+        ]
+
     def test_combined_amplitude_sets_cutoff(self, capsys):
         # each amplitude alone fits n_max 26; the pair's combined amplitude
         # sqrt(8) does not, and the beamsplitter truncates by total occupation
@@ -166,6 +178,16 @@ class TestSweepCommand:
         assert code == 0
         assert [args[0].modulus for args in calls] == [0.1, 0.2]
 
+    def test_sweep_prints_each_distinct_warning_once(self, capsys):
+        argv = ["sweep", "--check", "check_phase_formula", "--values", "0.3,0.4", "--nmax", "6"]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        tail = "|alpha|=1 leaves Poisson tail 8.32e-05 above n_max=6"
+        assert err.splitlines() == [
+            f"warning: cutoff inadequate for phase-rotated displacement: {tail}",
+            f"warning: cutoff inadequate for displacement: {tail}",
+        ]
+
     def test_empty_grid_header_only(self, capsys):
         code, out, _ = run(
             ["sweep", "--check", "check_J_rotation", "--values", "", "--format", "csv"],
@@ -215,6 +237,13 @@ class TestEnvironmentOverride:
         code, _, err = run(["swap", "--a1", "2,0", "--a2", "0,0"], capsys)
         assert code == 1
         assert "cutoff inadequate" in err
+
+    def test_env_nmax_below_one_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("FOCKFORGE_NMAX", "0")
+        code, out, err = run(["verify-all"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: FOCKFORGE_NMAX must be >= 1, got 0\n"
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("FOCKFORGE_NMAX", "4")
@@ -281,6 +310,20 @@ class TestOutputFile:
         assert err.startswith("error: cannot write --out")
         assert repr(str(path)) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_out_fails_before_any_check(self, target, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            fockforge.cli, "_formulas_reports", lambda *args: calls.append(args) or []
+        )
+        path = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+        code, out, err = run(["verify-all", "--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --out {str(path)!r}: ")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -13,6 +13,8 @@ from fockforge import (
     annihilation,
     apply_beamsplitter,
     beamsplitter_UJ,
+    check_SDS,
+    check_phase_formula,
     coherent,
     dagger,
     fidelity,
@@ -226,6 +228,31 @@ class TestImperfectClone:
         res = imperfect_clone(PolarParam.from_value(1.2))
         rho1, rho2 = partial_traces(res.output)
         assert np.linalg.norm(rho1 - rho2, "fro") <= 1e-8
+
+
+class TestCutoffWarnings:
+    # the library's only channel for an inadequate cutoff is a CutoffWarning
+    @pytest.mark.parametrize(
+        "call,context",
+        [
+            (lambda: check_SDS(PolarParam.from_value(0.5), PolarParam.from_value(1.0), Cutoff(6)),
+             "conjugated displacement"),
+            (lambda: check_phase_formula(0.3, PolarParam.from_value(1.0), Cutoff(6)),
+             "phase-rotated displacement"),
+            (lambda: apply_beamsplitter(PolarParam.from_value(2.0), PolarParam.from_value(2j),
+                                        PolarParam.from_value(0.5), Cutoff(8)),
+             "beamsplitter input"),
+            (lambda: full_swap(PolarParam.from_value(3.0), PolarParam.from_value(0), 0.0,
+                               Cutoff(10)),
+             "swap input"),
+            (lambda: imperfect_clone(PolarParam.from_value(3.0), Cutoff(10)), "clone input"),
+        ],
+        ids=["check_SDS", "check_phase_formula", "apply_beamsplitter", "full_swap",
+             "imperfect_clone"],
+    )
+    def test_inadequate_cutoff_warns(self, call, context):
+        with pytest.warns(CutoffWarning, match=f"cutoff inadequate for {context}:"):
+            call()
 
 
 class TestLargeAmplitude:
