@@ -12,12 +12,8 @@ from .fock import (
     annihilation,
     conjugate_by,
     dagger,
-    dump_ket,
-    dump_operator,
     expm,
     identity,
-    load_ket,
-    load_operator,
     number,
     poisson_tail,
     residual,
@@ -41,7 +37,6 @@ from .lie import (
     SpinJ,
     SpinK,
     beamsplitter_UJ,
-    pochhammer,
     schwinger_su2,
     schwinger_su11,
     single_mode_su11,
@@ -77,7 +72,6 @@ from .universal_swap import (
     PermutationOperator,
     apply_swap,
     cnot_factorization,
-    dump_permutation,
     no_cloning_witness,
     swap_matrix,
 )

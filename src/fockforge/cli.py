@@ -147,14 +147,20 @@ def _finish(config: RunConfig, text: str, messages: tuple[str, ...], failed: boo
 
 
 def _run_collecting_warnings(fn):
-    """Run a check; return its result and the messages of its CutoffWarnings."""
+    """Run a check; return its result and the messages of its CutoffWarnings.
+
+    Every other warning it raised is issued again once it has returned.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", CutoffWarning)
         result = fn()
-    messages = tuple(
-        str(w.message) for w in caught if issubclass(w.category, CutoffWarning)
-    )
-    return result, messages
+    messages = []
+    for w in caught:
+        if issubclass(w.category, CutoffWarning):
+            messages.append(str(w.message))
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return result, tuple(messages)
 
 
 # ---------------------------------------------------------------------------
@@ -274,46 +280,26 @@ def _protocol_reports(config: RunConfig, rng) -> list:
     return _run_draws(PROTOCOL_CHECKS, config, rng)
 
 
-def _triple_closure_residual(triple, margin_indices) -> float:
-    """Worst residual of the three bracket relations on the kept indices."""
-    plus, minus, third = triple.plus.entries, triple.minus.entries, triple.third.entries
-    sign = 1.0 if triple.algebra == "su2" else -1.0
-    rels = (
-        third @ plus - plus @ third - plus,
-        third @ minus - minus @ third + minus,
-        plus @ minus - minus @ plus - sign * 2.0 * third,
-    )
-    k = margin_indices
-    return max(float(np.linalg.norm(r[np.ix_(k, k)], "fro")) for r in rels)
-
-
 def _lie_reports(config: RunConfig) -> list:
     tol = config.tolerance
-    reports = []
-
-    worst = 0.0
-    for two_j in range(1, 9):
-        triple = su2_generators(SpinJ(two_j))
-        idx = np.arange(two_j + 1)
-        worst = max(worst, _triple_closure_residual(triple, idx))
-    reports.append(
-        make_report("su2_closure", (), Cutoff(8), 0, {"closure": worst}, {}, tol)
-    )
-
-    cut10, cut20, cut30 = Cutoff(10), Cutoff(20), Cutoff(30)
+    cut8, cut10, cut20, cut30 = Cutoff(8), Cutoff(10), Cutoff(20), Cutoff(30)
     keep10 = safe_indices(cut10, 1, modes=2)
-    closures = (  # (name, cutoff, margin, triple, kept indices)
+    closures = (  # (name, cutoff, margin, [(triple, kept indices), ...])
+        ("su2_closure", cut8, 0,
+         [(su2_generators(SpinJ(two_j)), np.arange(two_j + 1)) for two_j in range(1, 9)]),
         # one ladder step below the boundary
-        ("su11_closure_abstract", cut30, 1, su11_generators(SpinK(Fraction(1, 2), cut30)),
-         np.arange(cut30.dim - 1)),
-        ("su11_closure_schwinger", cut10, 1, schwinger_su11(cut10), keep10),
+        ("su11_closure_abstract", cut30, 1,
+         [(su11_generators(SpinK(Fraction(1, 2), cut30)), np.arange(cut30.dim - 1))]),
+        ("su11_closure_schwinger", cut10, 1, [(schwinger_su11(cut10), keep10)]),
         # one ladder step = two occupation levels
-        ("su11_closure_single_mode", cut20, 2, single_mode_su11(cut20), np.arange(cut20.dim - 2)),
-        ("su2_closure_schwinger", cut10, 1, schwinger_su2(cut10), keep10),
+        ("su11_closure_single_mode", cut20, 2,
+         [(single_mode_su11(cut20), np.arange(cut20.dim - 2))]),
+        ("su2_closure_schwinger", cut10, 1, [(schwinger_su2(cut10), keep10)]),
     )
-    for name, cut, margin, triple, keep in closures:
-        residual = _triple_closure_residual(triple, keep)
-        reports.append(make_report(name, (), cut, margin, {"closure": residual}, {}, tol))
+    reports = []
+    for name, cut, margin, pairs in closures:
+        worst = max(triple.closure_residual(keep) for triple, keep in pairs)
+        reports.append(make_report(name, (), cut, margin, {"closure": worst}, {}, tol))
 
     # quarter-spin correspondence: the quadratic realization on the even
     # occupations reproduces the abstract K=1/4 coherent state.

@@ -264,7 +264,8 @@ def tensor_ket(a: Ket, b: Ket) -> Ket:
 
 
 def _expm_array(g: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a dense array; raises on non-finite entries.
+    """Matrix exponential of a dense array; raises on non-finite entries in
+    the generator or in its exponential.
 
     The generators passed here are single ladder chains or zero, so there
     are no conserved sectors to split; ``fockforge.lie`` exponentiates
@@ -272,7 +273,10 @@ def _expm_array(g: np.ndarray) -> np.ndarray:
     """
     if not np.all(np.isfinite(g)):
         raise ValueError("generator has non-finite entries")
-    return _scipy_expm(g)
+    out = _scipy_expm(g)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix exponential overflowed to non-finite entries")
+    return out
 
 
 def expm(g: Operator) -> Operator:
@@ -366,46 +370,3 @@ def tail_warning(alpha_abs: float, cutoff: Cutoff, context: str = "") -> None:
         f"|alpha|={alpha_abs:.4g} leaves Poisson tail {tail:.2e} above n_max={cutoff.n_max}"
     )
     warnings.warn(msg, CutoffWarning, stacklevel=3)
-
-
-# ---------------------------------------------------------------------------
-# debug dumps
-
-
-def dump_operator(op: Operator) -> str:
-    """Textual dump: header ``dim modes n_max``, then row-major ``re im`` lines."""
-    lines = [f"{op.dim} {op.modes} {op.cutoff.n_max}"]
-    for v in op.entries.reshape(-1):
-        lines.append(f"{float(v.real)!r} {float(v.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def load_operator(text: str) -> Operator:
-    lines = text.strip().splitlines()
-    dim, modes, n_max = (int(x) for x in lines[0].split())
-    vals = np.array(
-        [complex(float(r), float(i)) for r, i in (ln.split() for ln in lines[1:])]
-    )
-    if vals.size != dim * dim:
-        raise ValueError("entry count does not match header dimension")
-    return Operator(vals.reshape(dim, dim), modes, Cutoff(n_max))
-
-
-def dump_ket(ket: Ket) -> str:
-    """Textual dump: header ``dim modes``, then one ``re im`` line per amplitude."""
-    lines = [f"{ket.dim} {ket.modes}"]
-    for v in ket.amplitudes:
-        lines.append(f"{float(v.real)!r} {float(v.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def load_ket(text: str) -> Ket:
-    lines = text.strip().splitlines()
-    dim, modes = (int(x) for x in lines[0].split())
-    amps = np.array(
-        [complex(float(r), float(i)) for r, i in (ln.split() for ln in lines[1:])]
-    )
-    if amps.size != dim:
-        raise ValueError("amplitude count does not match header dimension")
-    n_max = (dim if modes == 1 else math.isqrt(dim)) - 1
-    return Ket(amps, modes, Cutoff(n_max))

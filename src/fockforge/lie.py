@@ -32,10 +32,6 @@ class SpinJ:
             raise ValueError("two_j must be a positive integer")
 
     @property
-    def j(self) -> Fraction:
-        return Fraction(self.two_j, 2)
-
-    @property
     def dim(self) -> int:
         return self.two_j + 1
 
@@ -51,10 +47,6 @@ class SpinK:
         object.__setattr__(self, "two_k", Fraction(self.two_k))
         if self.two_k <= 0:
             raise ValueError("two_k must be positive")
-
-    @property
-    def k(self) -> Fraction:
-        return self.two_k / 2
 
 
 @dataclass(frozen=True)
@@ -73,30 +65,42 @@ class LieTriple:
         if gap > 1e-12:
             raise ValueError("minus is not the dagger of plus")
 
+    def closure_residual(self, keep: np.ndarray) -> float:
+        """Worst Frobenius residual on the kept indices of the three brackets
+        [X3, X+] = X+, [X3, X-] = -X- and [X+, X-] = 2 X3 (su2) or -2 X3 (su11)."""
+        plus, minus, third = self.plus.entries, self.minus.entries, self.third.entries
+        sign = 1.0 if self.algebra == "su2" else -1.0
+        rels = (
+            third @ plus - plus @ third - plus,
+            third @ minus - minus @ third + minus,
+            plus @ minus - minus @ plus - sign * 2.0 * third,
+        )
+        return max(float(np.linalg.norm(r[np.ix_(keep, keep)], "fro")) for r in rels)
+
+
+def _chain_triple(
+    ladder: np.ndarray, diagonal: np.ndarray, cutoff: Cutoff, algebra: str
+) -> LieTriple:
+    """Triple of one abstract chain: X+|n> = ladder[n]|n+1>, X3 = diag(diagonal)."""
+    plus = Operator(np.diag(ladder, k=-1).astype(complex), 1, cutoff)
+    third = Operator(np.diag(diagonal).astype(complex), 1, cutoff)
+    return LieTriple(plus, dagger(plus), third, algebra)
+
 
 def su2_generators(spin: SpinJ) -> LieTriple:
     """Spin-J matrices: J+|n> = sqrt((n+1)(2J-n))|n+1>, J3|n> = (-J+n)|n>."""
     two_j = spin.two_j
-    d = spin.dim
-    jp = np.zeros((d, d), dtype=complex)
-    for n in range(d - 1):
-        jp[n + 1, n] = math.sqrt((n + 1) * (two_j - n))
-    j3 = np.diag(np.arange(d) - two_j / 2).astype(complex)
-    cut = Cutoff(two_j)
-    plus = Operator(jp, 1, cut)
-    return LieTriple(plus, dagger(plus), Operator(j3, 1, cut), "su2")
+    n = np.arange(spin.dim)
+    ladder = np.sqrt((n[:-1] + 1) * (two_j - n[:-1]))
+    return _chain_triple(ladder, n - two_j / 2, Cutoff(two_j), "su2")
 
 
 def su11_generators(spin: SpinK) -> LieTriple:
     """Truncated spin-K matrices: K+|n> = sqrt((n+1)(2K+n))|n+1>, K3|n> = (K+n)|n>."""
     two_k = float(spin.two_k)
-    d = spin.cutoff.dim
-    kp = np.zeros((d, d), dtype=complex)
-    for n in range(d - 1):
-        kp[n + 1, n] = math.sqrt((n + 1) * (two_k + n))
-    k3 = np.diag(two_k / 2 + np.arange(d)).astype(complex)
-    plus = Operator(kp, 1, spin.cutoff)
-    return LieTriple(plus, dagger(plus), Operator(k3, 1, spin.cutoff), "su11")
+    n = np.arange(spin.cutoff.dim)
+    ladder = np.sqrt((n[:-1] + 1) * (two_k + n[:-1]))
+    return _chain_triple(ladder, two_k / 2 + n, spin.cutoff, "su11")
 
 
 def schwinger_su2(cutoff: Cutoff) -> LieTriple:
@@ -193,7 +197,8 @@ def sector_blocks(
 ) -> list[SectorBlock]:
     """The blocks of exp(kappa X+ - conj(kappa) X-), one per conserved chain,
     or only the chains through the flat indices ``meets``; two-mode su(1,1)
-    parameters must pass the cosh guard."""
+    parameters must pass the cosh guard.  kappa = 0 gives exact identity
+    blocks, with no eigensolve."""
     if algebra == "su11" and modes == 2:
         _guard_cosh(kappa.modulus, "kappa")
     turn = kappa.phase + math.pi / 2
@@ -207,6 +212,10 @@ def sector_blocks(
         if meets is not None and not hit[index].any():
             continue
         size = ladder.size + 1
+        if kappa.modulus == 0.0:
+            ones = np.ones(size, dtype=complex)
+            blocks.append(SectorBlock(index, ones, np.eye(size), ones))
+            continue
         mu, w = eigh_tridiagonal(np.zeros(size), ladder)
         phase = np.exp(1j * turn * np.arange(size))
         blocks.append(SectorBlock(index, phase, w, np.exp(-1j * kappa.modulus * mu)))
@@ -214,10 +223,7 @@ def sector_blocks(
 
 
 def sector_operator(algebra: str, kappa: PolarParam, cutoff: Cutoff, modes: int = 2) -> Operator:
-    """Dense exp(kappa X+ - conj(kappa) X-) assembled from its sector blocks;
-    kappa = 0 gives the exact identity."""
-    if kappa.modulus == 0.0:
-        return identity(cutoff, modes)
+    """Dense exp(kappa X+ - conj(kappa) X-) assembled from its sector blocks."""
     dim = cutoff.dim ** modes
     out = np.zeros((dim, dim), dtype=complex)
     for block in sector_blocks(algebra, kappa, cutoff, modes):
@@ -233,13 +239,9 @@ def safe_rows(
 
     On a safe block (complete sectors n1 + n2 <= cap) the su2 chains through
     ``keep`` lie inside it, so the rows vanish outside ``keep``; the su11
-    chains through it run on up to the cutoff.  kappa = 0 gives the exact
-    identity rows.
+    chains through it run on up to the cutoff.
     """
     dim = cutoff.dim ** 2
-    if kappa.modulus == 0.0:
-        ones = np.ones(keep.size, dtype=complex)
-        return sparse.csr_array((ones, (np.arange(keep.size), keep)), shape=(keep.size, dim))
     pos = np.full(dim, -1)
     pos[keep] = np.arange(keep.size)
     rows, cols, vals = [], [], []
@@ -257,8 +259,6 @@ def apply_sectors(algebra: str, kappa: PolarParam, ket: Ket) -> Ket:
     without forming the d^2 x d^2 matrix."""
     if ket.modes != 2:
         raise ValueError("apply_sectors acts on two-mode kets")
-    if kappa.modulus == 0.0:
-        return ket
     amps = ket.amplitudes
     out = np.empty_like(amps)
     for block in sector_blocks(algebra, kappa, ket.cutoff):
@@ -296,25 +296,3 @@ def single_mode_su11(cutoff: Cutoff) -> LieTriple:
     plus = 0.5 * (ad @ ad)
     third = 0.5 * (number(cutoff) + 0.5 * identity(cutoff))
     return LieTriple(plus, dagger(plus), third, "su11")
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial a(a+1)...(a+n-1) by forward recurrence.
-
-    Above n = 120 the recurrence would overflow long before the log-space
-    route does, so it switches to exp(lgamma(a+n) - lgamma(a)).
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    a = float(a)
-    if n > 120:
-        if a <= 0:
-            raise ValueError("log-space route requires a > 0")
-        try:
-            return math.exp(math.lgamma(a + n) - math.lgamma(a))
-        except OverflowError:
-            return math.inf
-    out = 1.0
-    for i in range(n):
-        out *= a + i
-    return out

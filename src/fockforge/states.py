@@ -154,7 +154,8 @@ def fidelity(x: Ket, y: Ket) -> float:
     if nx == 0.0 or ny == 0.0:
         raise ValueError("fidelity of the zero vector is undefined")
     overlap = np.vdot(x.amplitudes, y.amplitudes) / (nx * ny)
-    return float(min(1.0, abs(overlap) ** 2))
+    # np.minimum keeps a NaN overlap NaN, where min(1.0, nan) would read 1.0
+    return float(np.minimum(1.0, abs(overlap) ** 2))
 
 
 def occupation_expectations(ket: Ket) -> tuple[float, ...]:

@@ -146,8 +146,3 @@ def no_cloning_witness(h: Ket, tolerance: float | None = None) -> Report:
         tol,
         unasserted=unasserted,
     )
-
-
-def dump_permutation(p: PermutationOperator) -> str:
-    """Textual export: one ``row col`` line per unit entry."""
-    return "\n".join(f"{row} {col}" for row, col in enumerate(p.perm)) + "\n"

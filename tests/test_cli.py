@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -71,6 +72,24 @@ class TestConfigValidation:
         assert err.count("\n") == 1
         assert "1e+200" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swap", "--a1", "1e20,0", "--a2", "0,1"],
+            ["clone", "--alpha", "1e20,0"],
+            ["swap", "--a1", "1e150,0", "--a2", "0,1", "--nmax", "10"],
+            ["clone", "--alpha", "1e150,0", "--nmax", "10"],
+        ],
+        ids=["swap-1e20", "clone-1e20", "swap-1e150", "clone-1e150"],
+    )
+    def test_non_finite_displacement_is_config_error(self, argv, capsys):
+        # |alpha|^2 fits a float, but the dense displacement overflows
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "non-finite" in err
 
 
 class TestSwapCommand:
@@ -177,6 +196,20 @@ class TestSweepCommand:
         code, _, _ = run(["sweep", "--check", "check_SSS_commute", "--values", "0.1,0.2"], capsys)
         assert code == 0
         assert [args[0].modulus for args in calls] == [0.1, 0.2]
+
+    def test_other_warnings_are_issued_again(self, capsys, monkeypatch):
+        real = fockforge.cli.check_SSS_commute
+        argv = ["sweep", "--check", "check_SSS_commute", "--values", "0.3"]
+        want_code, want_out, want_err = run(argv, capsys)
+
+        def noisy(*args, **kwargs):
+            warnings.warn("stand-in numerical warning", RuntimeWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fockforge.cli, "check_SSS_commute", noisy)
+        with pytest.warns(RuntimeWarning, match="stand-in numerical warning"):
+            code, out, err = run(argv, capsys)
+        assert (code, out, err) == (want_code, want_out, want_err)
 
     def test_sweep_prints_each_distinct_warning_once(self, capsys):
         argv = ["sweep", "--check", "check_phase_formula", "--values", "0.3,0.4", "--nmax", "6"]

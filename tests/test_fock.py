@@ -15,12 +15,8 @@ from fockforge import (
     annihilation,
     conjugate_by,
     dagger,
-    dump_ket,
-    dump_operator,
     expm,
     identity,
-    load_ket,
-    load_operator,
     number,
     poisson_tail,
     residual,
@@ -29,7 +25,7 @@ from fockforge import (
     tensor_ket,
 )
 from fockforge.fock import _expm_array, safe_indices
-from fockforge.states import coherent, displacement, phase_rotation
+from fockforge.states import displacement, phase_rotation
 
 
 parts = st.floats(-1e307, 1e307)
@@ -218,6 +214,14 @@ class TestExpm:
         np.testing.assert_array_equal(_expm_array(zero), np.eye(c.dim ** 2))
         np.testing.assert_array_equal(expm(Operator(zero, 2, c)).entries, np.eye(c.dim ** 2))
 
+    def test_non_finite_exponential_is_rejected(self):
+        # e^1000 overflows a float; the NaN or inf must not reach a state
+        g = np.diag([1000.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            _expm_array(g)
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(Operator(g, 1, Cutoff(1)))
+
     def test_diagonal_phase(self):
         c = Cutoff(2)
         g = Operator(1j * math.pi * np.diag([0.0, 1.0, 2.0]).astype(complex), 1, c)
@@ -365,24 +369,6 @@ class TestTailRule:
     def test_displacement_warns_when_inadequate(self):
         with pytest.warns(CutoffWarning):
             displacement(PolarParam.from_value(3.0), Cutoff(4))
-
-
-class TestDumps:
-    def test_operator_roundtrip(self):
-        c = Cutoff(2)
-        op = annihilation(c)
-        text = dump_operator(op)
-        assert text.splitlines()[0] == "3 1 2"
-        back = load_operator(text)
-        np.testing.assert_array_equal(back.entries, op.entries)
-        assert back.modes == 1 and back.cutoff == c
-
-    def test_ket_roundtrip(self):
-        k = coherent(PolarParam.from_value(0.4 + 0.1j), Cutoff(20))
-        text = dump_ket(k)
-        assert text.splitlines()[0] == "21 1"
-        back = load_ket(text)
-        np.testing.assert_allclose(back.amplitudes, k.amplitudes)
 
 
 class TestKet:

@@ -16,7 +16,6 @@ from fockforge import (
     SpinJ,
     SpinK,
     beamsplitter_UJ,
-    pochhammer,
     schwinger_su2,
     schwinger_su11,
     single_mode_su11,
@@ -24,9 +23,11 @@ from fockforge import (
     su11_generators,
     two_mode_squeezer_UK,
 )
+from fockforge.cli import RunConfig, _lie_reports
 from fockforge.config import COSH_GUARD
 from fockforge.fock import safe_indices
 from fockforge.lie import apply_sectors, safe_rows, sector_chains
+from test_acceptance import _closure
 
 BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}
 
@@ -71,7 +72,24 @@ def wigner_small_d(two_j, beta):
     return d
 
 
+def loop_ladder(dim, coefficient):
+    """X+ filled entry by entry, as the generators were first written."""
+    plus = np.zeros((dim, dim), dtype=complex)
+    for n in range(dim - 1):
+        plus[n + 1, n] = math.sqrt(coefficient(n))
+    return plus
+
+
 class TestSu2:
+    @pytest.mark.parametrize("two_j", range(1, 9))
+    def test_matches_loop_reference_exactly(self, two_j):
+        triple = su2_generators(SpinJ(two_j))
+        want = loop_ladder(two_j + 1, lambda n: (n + 1) * (two_j - n))
+        np.testing.assert_array_equal(triple.plus.entries, want)
+        np.testing.assert_array_equal(
+            triple.third.entries, np.diag(np.arange(two_j + 1) - two_j / 2).astype(complex)
+        )
+
     def test_spin_half_matrices(self):
         triple = su2_generators(SpinJ(1))
         np.testing.assert_allclose(triple.plus.entries, [[0, 0], [1, 0]])
@@ -103,6 +121,17 @@ class TestSu2:
 
 
 class TestSu11:
+    @pytest.mark.parametrize("two_k", [Fraction(1, 2), Fraction(1, 3), Fraction(7, 2)])
+    def test_matches_loop_reference_exactly(self, two_k):
+        cut = Cutoff(25)
+        triple = su11_generators(SpinK(two_k, cut))
+        k2 = float(two_k)
+        want = loop_ladder(cut.dim, lambda n: (n + 1) * (k2 + n))
+        np.testing.assert_array_equal(triple.plus.entries, want)
+        np.testing.assert_array_equal(
+            triple.third.entries, np.diag(k2 / 2 + np.arange(cut.dim)).astype(complex)
+        )
+
     def test_quarter_spin_first_amplitude(self):
         triple = su11_generators(SpinK(Fraction(1, 2), Cutoff(8)))
         assert triple.plus.entries[1, 0] == pytest.approx(1 / math.sqrt(2))
@@ -346,27 +375,36 @@ class TestSingleModeSu11:
             assert np.abs(diff).max() < 1e-12
 
 
-class TestPochhammer:
-    def test_small_values(self):
-        assert pochhammer(2.0, 3) == pytest.approx(24.0)
-        assert pochhammer(0.5, 2) == pytest.approx(0.75)
-        assert pochhammer(3.7, 0) == 1.0
-
-    def test_recurrence_matches_log_route(self):
-        direct = pochhammer(0.5, 120)
-        log_route = math.exp(math.lgamma(0.5 + 120) - math.lgamma(0.5))
-        assert direct == pytest.approx(log_route, rel=1e-10)
-
-    def test_log_space_above_guard(self):
-        value = pochhammer(1.5, 150)
-        assert math.isfinite(value) and value > 1e200
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
-
-
 class TestLieTriple:
+    @staticmethod
+    def _reported_closures(monkeypatch):
+        """Every (triple, kept indices) whose closure verify-all reports."""
+        seen = []
+        real = LieTriple.closure_residual
+
+        def recording(self, keep):
+            seen.append((self, keep))
+            return real(self, keep)
+
+        monkeypatch.setattr(LieTriple, "closure_residual", recording)
+        _lie_reports(RunConfig())
+        monkeypatch.undo()
+        return seen
+
+    def test_closure_gate_passes_on_reported_triples(self, monkeypatch):
+        pairs = self._reported_closures(monkeypatch)
+        assert len(pairs) == 12  # spin 2J = 1..8, then four realizations
+        for triple, keep in pairs:
+            got = triple.closure_residual(keep)
+            assert got <= 1e-12
+            assert abs(got - _closure(triple, keep)) <= 1e-14
+
+    def test_closure_gate_fails_on_scaled_ladders(self, monkeypatch):
+        # [X+, X-] then picks up a factor 1.01^2 that 2 X3 does not
+        for triple, keep in self._reported_closures(monkeypatch):
+            bad = LieTriple(1.01 * triple.plus, 1.01 * triple.minus, triple.third, triple.algebra)
+            assert bad.closure_residual(keep) > 1e-3
+
     def test_rejects_mismatched_adjoint(self):
         cut = Cutoff(3)
         a = np.zeros((4, 4), dtype=complex)

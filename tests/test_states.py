@@ -22,6 +22,7 @@ from fockforge import (
     dagger,
     displacement,
     fidelity,
+    make_report,
     number_state,
     occupation_expectations,
     perelomov_su2,
@@ -270,6 +271,13 @@ class TestFidelity:
             a, b = random_param(1.6), random_param(1.6)
             f = fidelity(coherent(a, c), coherent(b, c))
             assert abs(f - math.exp(-abs(a.value - b.value) ** 2)) < 1e-8
+
+    def test_nan_amplitude_gives_nan_not_one(self):
+        amps = np.array([1.0, math.nan, 0.0, 0.0], dtype=complex)
+        f = fidelity(Ket(amps, 1, Cutoff(3)), vacuum(Cutoff(3)))
+        assert math.isnan(f)
+        report = make_report("nan_state", (), Cutoff(3), 0, {}, {"state": f}, 1e-6)
+        assert not report.passed
 
     def test_rejects_mismatch_and_zero(self):
         with pytest.raises(ValueError):

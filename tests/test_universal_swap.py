@@ -10,7 +10,6 @@ from fockforge import (
     apply_swap,
     cnot_factorization,
     coherent,
-    dump_permutation,
     fidelity,
     full_swap,
     no_cloning_witness,
@@ -182,9 +181,3 @@ class TestNoCloningWitness:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             no_cloning_witness(Ket(np.zeros(3, dtype=complex), 1, Cutoff(2)))
-
-
-class TestDump:
-    def test_permutation_export(self):
-        text = dump_permutation(swap_matrix(2))
-        assert text.splitlines() == ["0 0", "1 2", "2 1", "3 3"]
