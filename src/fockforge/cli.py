@@ -146,6 +146,24 @@ def _finish(config: RunConfig, text: str, messages: tuple[str, ...], failed: boo
     return 1 if failed or messages else 0
 
 
+def _strict_json(value):
+    """``value`` with each non-finite float replaced by the string "NaN",
+    "Infinity" or "-Infinity", so that strict JSON parsers accept the body."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
+def _json_text(body) -> str:
+    """A report body as indented JSON with sorted keys; finite bodies are
+    written exactly as ``json.dumps`` writes them."""
+    return json.dumps(_strict_json(body), allow_nan=False, indent=2, sort_keys=True) + "\n"
+
+
 def _run_collecting_warnings(fn):
     """Run a check; return its result and the messages of its CutoffWarnings.
 
@@ -391,7 +409,7 @@ def cmd_verify_all(config: RunConfig) -> int:
         "reports": [r.to_json_dict() for r in reports],
     }
     if config.output_format == "json":
-        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        text = _json_text(body)
     else:
         buf = io.StringIO()
         buf.write("name,passed,n_max,margin,worst_residual,worst_fidelity_deficit\n")
@@ -415,7 +433,7 @@ def cmd_verify_all(config: RunConfig) -> int:
 def _protocol_exit(protocol, config: RunConfig) -> int:
     result, messages = _run_collecting_warnings(protocol)
     if config.output_format == "json":
-        text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        text = _json_text(result.to_json_dict())
     else:
         n1, n2 = result.mean_occupations()
         text = (
@@ -457,7 +475,7 @@ def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
             "check": check_name,
             "reports": [dict(value=v, **r.to_json_dict()) for v, r in reports],
         }
-        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        text = _json_text(body)
     else:
         buf = io.StringIO()
         header = ["check", "value", *residual_keys, *fidelity_keys, "passed"]

@@ -267,9 +267,10 @@ def _expm_array(g: np.ndarray) -> np.ndarray:
     """Matrix exponential of a dense array; raises on non-finite entries in
     the generator or in its exponential.
 
-    The generators passed here are single ladder chains or zero, so there
-    are no conserved sectors to split; ``fockforge.lie`` exponentiates
-    sector by sector where there are.
+    Its remaining callers are the coherent states
+    (``states.coherent_with_deficit``) and, through ``expm``, the Perelomov
+    states; ``fockforge.lie`` exponentiates the displacement, the squeezes and
+    the two-mode unitaries chain by chain.
     """
     if not np.all(np.isfinite(g)):
         raise ValueError("generator has non-finite entries")

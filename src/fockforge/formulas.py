@@ -29,12 +29,10 @@ from .fock import (
     annihilation,
     safe_indices,
     tail_warning,
-    _expm_array,
 )
-from .lie import safe_rows
+from .lie import safe_rows, sector_blocks, sector_operator
 from .report import Report, make_report
 from .states import (
-    coherent,
     displacement,
     phase_rotation,
     squeeze,
@@ -265,21 +263,19 @@ def check_SDS(
     amplified = math.exp(epsilon.modulus) * alpha.modulus
     tail_warning(amplified, cutoff, context="conjugated displacement")
 
-    a = annihilation(cutoff).entries
-    ad = a.conj().T
+    # The displacements come from the Heisenberg-Weyl chain, whose chain
+    # positions are the occupations 0 ... n_max.
     s = squeeze(epsilon, cutoff).entries
-    d = _expm_array(alpha.value * ad - alpha.conj * a)
+    d = sector_operator("hw", alpha, cutoff, modes=1).entries
     predicted = (
         math.cosh(epsilon.modulus) * alpha.value
         + cmath.exp(1j * epsilon.phase) * math.sinh(epsilon.modulus) * alpha.conj
     )
-    d_pred = _expm_array(predicted * ad - predicted.conjugate() * a)
     keep = safe_indices(cutoff, margin, modes=1)
-    residuals = {
-        "displacement_conjugation": _conjugation_residual(s[keep], d, d_pred[np.ix_(keep, keep)])
-    }
+    (d_pred,) = sector_blocks("hw", PolarParam.from_value(predicted), cutoff, modes=1)
+    residuals = {"displacement_conjugation": _conjugation_residual(s[keep], d, d_pred.matrix(keep))}
 
-    # Phase-locked special cases, verified on states.
+    # Phase-locked special cases, verified on states; fidelity renormalizes.
     vac = vacuum(cutoff).amplitudes
     fidelities = {}
     for key, offset, scale in (
@@ -289,9 +285,8 @@ def check_SDS(
         locked = PolarParam.from_polar(epsilon.modulus, 2 * alpha.phase + offset)
         s_locked = squeeze(locked, cutoff).entries
         out = s_locked @ (d @ (s_locked.conj().T @ vac))
-        target = coherent(PolarParam.from_value(scale * alpha.value), cutoff)
-        out_ket = Ket(out, 1, cutoff)
-        fidelities[key] = fidelity(out_ket, target)
+        (d_target,) = sector_blocks("hw", PolarParam.from_value(scale * alpha.value), cutoff, modes=1)
+        fidelities[key] = fidelity(Ket(out, 1, cutoff), Ket(d_target.apply(vac), 1, cutoff))
 
     return make_report(
         "check_SDS",
@@ -381,7 +376,7 @@ def check_phase_formula(
             np.linalg.norm(v.entries @ vac.amplitudes - vac.amplitudes)
         ),
     }
-    # coherent() builds each state as this displaced vacuum, renormalized
+    # the coherent state is this displaced vacuum, renormalized
     rotated_state = v.apply(d.apply(vac).normalize())
     fidelities = {"rotated_state": fidelity(rotated_state, d_pred.apply(vac).normalize())}
     return make_report(

@@ -3,7 +3,9 @@
 Includes the two-mode (Schwinger boson) realizations and the single-mode
 quadratic realization of su(1,1), all as dense matrices on truncated spaces,
 and the sector kernel that exponentiates these realizations one conserved
-chain at a time, whole, on a ket, or on the rows of a safe block.
+chain at a time, whole, on a ket, or on the rows of a safe block.  The
+kernel also carries the Heisenberg-Weyl chain X+ = a†, whose exponential is
+the displacement D(alpha) = exp(alpha a† - conj(alpha) a).
 """
 
 from __future__ import annotations
@@ -141,9 +143,12 @@ class SectorBlock:
     vectors: np.ndarray
     spectrum: np.ndarray
 
-    def matrix(self) -> np.ndarray:
-        left = self.phase[:, None] * self.vectors * self.spectrum
-        return left @ (self.vectors.T * self.phase.conj())
+    def matrix(self, keep: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The block as a dense matrix, or only its [keep, keep] sub-block,
+        ``keep`` counting chain positions."""
+        phase, vectors = self.phase[keep], self.vectors[keep]
+        left = phase[:, None] * vectors * self.spectrum
+        return left @ (vectors.T * phase.conj())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         w = self.vectors.T @ (self.phase.conj() * v)
@@ -162,13 +167,20 @@ def sector_chains(
       su2:  sectors N = n1 + n2 = 0 ... 2 n_max, ladder sqrt((n1+1) n2); a
             sector with N > n_max is the truncated chain n1 in [N - n_max, n_max].
       su11: sectors D = n1 - n2 = -n_max ... n_max, ladder sqrt((n1+1)(n2+1)).
-    One mode (quadratic realization K+ = a†a†/2, su11 only): the parity
-    chains n = p, p+2, ... <= n_max, ladder sqrt((n+1)(n+2))/2.
+    One mode:
+      hw:   the Heisenberg-Weyl chain X+ = a†, one chain n = 0 ... n_max with
+            ladder sqrt(n+1); its exponential is the displacement.
+      su11: the quadratic realization K+ = a†a†/2, parity chains
+            n = p, p+2, ... <= n_max, ladder sqrt((n+1)(n+2))/2.
     """
     n = cutoff.n_max
     if modes == 1:
+        if algebra == "hw":
+            occ = np.arange(n + 1)
+            yield occ, np.sqrt(occ[:-1] + 1.0)
+            return
         if algebra != "su11":
-            raise ValueError("the single-mode realization is su11 only")
+            raise ValueError("the single-mode realizations are 'hw' and 'su11'")
         for parity in (0, 1):
             occ = np.arange(parity, n + 1, 2)
             yield occ, 0.5 * np.sqrt((occ[:-1] + 1.0) * (occ[:-1] + 2.0))
@@ -185,7 +197,7 @@ def sector_chains(
             n2 = n1 - diff
             yield n1, n2, np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))
     else:
-        raise ValueError("algebra must be 'su2' or 'su11'")
+        raise ValueError("the two-mode realizations are 'su2' and 'su11'")
 
 
 def sector_blocks(

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import math
 import warnings
 
 import pytest
 
 import fockforge.cli
 import fockforge.protocols
-from fockforge.cli import SWEEP_REGISTRY, RunConfig, main
+from fockforge.cli import SWEEP_REGISTRY, RunConfig, _json_text, main
+from fockforge.report import make_report
 
 
 def run(argv, capsys):
@@ -210,6 +212,39 @@ class TestSweepCommand:
         with pytest.warns(RuntimeWarning, match="stand-in numerical warning"):
             code, out, err = run(argv, capsys)
         assert (code, out, err) == (want_code, want_out, want_err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--check", "check_SSS_commute", "--values", "0.3"], ["verify-all"]],
+        ids=["sweep", "verify-all"],
+    )
+    def test_nan_residual_gives_strict_json_and_fails(self, argv, capsys, monkeypatch):
+        real = fockforge.cli.check_SSS_commute
+
+        def nan_residual(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            residuals = {key: math.nan for key in rep.residuals}
+            return make_report(rep.name, rep.params, rep.cutoff, rep.margin, residuals,
+                               rep.fidelities, rep.tolerance)
+
+        def refuse(token):
+            raise ValueError(f"bare {token} token")
+
+        monkeypatch.setattr(fockforge.cli, "check_SSS_commute", nan_residual)
+        code, out, _ = run(argv, capsys)
+        assert code == 1
+        body = json.loads(out, parse_constant=refuse)
+        patched = [r for r in body["reports"] if r["name"] == "check_SSS_commute"]
+        assert patched
+        for report in patched:
+            assert report["passed"] is False
+            assert report["residuals"]["commutator"] == "NaN"
+
+    def test_json_text_spells_out_non_finite_floats(self):
+        body = {"b": [1.5, -0.0, 1e-300], "a": {"x": (2, 3.25)}, "c": "NaN"}
+        assert _json_text(body) == json.dumps(body, indent=2, sort_keys=True) + "\n"
+        text = _json_text({"v": [math.nan, math.inf, -math.inf]})
+        assert json.loads(text) == {"v": ["NaN", "Infinity", "-Infinity"]}
 
     def test_sweep_prints_each_distinct_warning_once(self, capsys):
         argv = ["sweep", "--check", "check_phase_formula", "--values", "0.3,0.4", "--nmax", "6"]

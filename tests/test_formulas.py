@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fockforge.fock
+import fockforge.states
 from fockforge import (
     Cutoff,
     PolarParam,
@@ -152,6 +154,17 @@ class TestSDS:
         for _ in range(3):
             rep = check_SDS(random_param(0.05, 0.8), random_param(0.1, 1.0))
             assert rep.passed and rep.worst_residual <= 1e-8
+
+
+class TestNoDenseDisplacement:
+    def test_single_mode_displacement_checks_avoid_dense_expm(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("dense matrix exponential called")
+
+        for module in (fockforge.fock, fockforge.states):
+            monkeypatch.setattr(module, "_expm_array", refuse)
+        assert check_SDS(PolarParam.from_polar(0.4, 1.1), PolarParam.from_polar(0.8, 0.55)).passed
+        assert check_phase_formula(0.9, PolarParam.from_value(1.2 - 0.4j)).passed
 
 
 class TestSSSCommute:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as dense_expm
 
@@ -24,9 +24,10 @@ from fockforge import (
     two_mode_squeezer_UK,
 )
 from fockforge.cli import RunConfig, _lie_reports
-from fockforge.config import COSH_GUARD
-from fockforge.fock import safe_indices
-from fockforge.lie import apply_sectors, safe_rows, sector_chains
+from fockforge.config import COSH_GUARD, TAIL_BOUND
+from fockforge.fock import annihilation, poisson_tail, safe_indices
+from fockforge.lie import apply_sectors, safe_rows, sector_chains, sector_operator
+from fockforge.states import coherent_series
 from test_acceptance import _closure
 
 BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}
@@ -333,6 +334,63 @@ class TestSectorKernel:
         keep = safe_indices(cut, cut.n_max // 2, modes=2)
         column = two_mode_squeezer_UK(kappa, cut).entries[:, 0]
         assert np.abs(column[keep] - want[keep]).max() <= 1e-13
+
+
+def _dense_gap(built: np.ndarray, alpha: PolarParam, cut: Cutoff) -> float:
+    """Relative Frobenius gap between ``built`` and one unsplit dense expm of
+    the displacement generator alpha a† - conj(alpha) a."""
+    a = annihilation(cut).entries
+    dense = dense_expm(alpha.value * a.conj().T - alpha.conj * a)
+    return float(np.linalg.norm(built - dense) / np.linalg.norm(dense))
+
+
+def _series_gap(built: np.ndarray, alpha: PolarParam, cut: Cutoff) -> float:
+    """Largest gap between column 0 of ``built`` and the renormalized closed form."""
+    series = coherent_series(alpha, cut).amplitudes
+    return float(np.abs(built[:, 0] - series / np.linalg.norm(series)).max())
+
+
+# a Poisson tail below TAIL_BOUND = 1e-12 distorts amplitudes by about its root
+SERIES_GAP = 1e-6
+HW_CUTOFFS = st.sampled_from([10, 40, 144, 178])
+
+
+class TestHeisenbergWeylChain:
+    @pytest.mark.parametrize("n_max", [1, 4, 9])
+    def test_one_chain_with_ladder_sqrt_n_plus_one(self, n_max):
+        ((occ, ladder),) = sector_chains("hw", Cutoff(n_max), modes=1)
+        np.testing.assert_array_equal(occ, np.arange(n_max + 1))
+        np.testing.assert_array_equal(ladder, np.sqrt(np.arange(1, n_max + 1, dtype=float)))
+
+    def test_single_mode_only(self):
+        with pytest.raises(ValueError):
+            list(sector_chains("hw", Cutoff(4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 10.0), st.floats(-math.pi, math.pi), HW_CUTOFFS)
+    def test_matches_dense_expm(self, modulus, phase, n_max):
+        alpha, cut = PolarParam.from_polar(modulus, phase), Cutoff(n_max)
+        built = sector_operator("hw", alpha, cut, modes=1).entries
+        assert _dense_gap(built, alpha, cut) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 10.0), st.floats(-math.pi, math.pi), HW_CUTOFFS)
+    def test_column_zero_matches_coherent_series(self, modulus, phase, n_max):
+        assume(poisson_tail(modulus, n_max) < TAIL_BOUND)
+        alpha, cut = PolarParam.from_polar(modulus, phase), Cutoff(n_max)
+        built = sector_operator("hw", alpha, cut, modes=1).entries
+        assert _series_gap(built, alpha, cut) <= SERIES_GAP
+
+    @pytest.mark.parametrize(
+        "modulus,phase,n_max", [(0.5, 0.3, 10), (2.0, -1.2, 40), (6.0, 2.5, 144), (10.0, 0.0, 178)]
+    )
+    def test_scaled_amplitude_fails_both_routes(self, modulus, phase, n_max):
+        # control: the gates above must catch an amplitude 1% off
+        alpha, cut = PolarParam.from_polar(modulus, phase), Cutoff(n_max)
+        assert poisson_tail(modulus, n_max) < TAIL_BOUND
+        built = sector_operator("hw", PolarParam.from_value(1.01 * alpha.value), cut, modes=1).entries
+        assert _dense_gap(built, alpha, cut) > 1e-13
+        assert _series_gap(built, alpha, cut) > SERIES_GAP
 
 
 class TestSingleModeSu11:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,12 @@ class TestDisplacement:
             built = displacement(alpha, c).apply(vacuum(c)).amplitudes
             series = coherent_series(alpha, c).amplitudes
             assert np.abs(built - series).max() < 1e-10
+
+    @pytest.mark.parametrize("modulus", [1e20, 1e150])
+    def test_rejects_amplitude_whose_phases_a_float_cannot_resolve(self, modulus):
+        # the chain would return a finite, unitary, meaningless matrix here
+        with pytest.raises(ValueError, match=re.escape(f"|alpha| = {modulus:.4g}")):
+            displacement(PolarParam.from_value(modulus), Cutoff(10))
 
     def test_full_support_for_nonzero_alpha(self):
         amps = coherent(PolarParam.from_value(1.0), Cutoff(25)).amplitudes
