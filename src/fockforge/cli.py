@@ -276,7 +276,7 @@ PROTOCOL_CHECKS = (
           lambda v: (_polar(0.3, 0.0), _polar(0.3, 0.0), _polar(v, math.pi / 2))),
 )
 
-SWEEP_REGISTRY = {  # name -> (runner(value, config), residual and fidelity columns)
+SWEEP_REGISTRY = {  # for perfbench: name -> (runner(value, config), residual and fidelity columns)
     c.name: (lambda value, config, c=c: c.run(c.sweep(value), config), c.residuals, c.fidelities)
     for c in FORMULA_CHECKS + PROTOCOL_CHECKS
 }
@@ -460,14 +460,15 @@ def cmd_clone(config: RunConfig, alpha: PolarParam, delta: float = 0.0) -> int:
 
 
 def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
-    if check_name not in SWEEP_REGISTRY:
+    checks = {c.name: c for c in FORMULA_CHECKS + PROTOCOL_CHECKS}
+    if check_name not in checks:
         print(f"error: unknown check {check_name!r}", file=sys.stderr)
-        print(f"registered: {', '.join(sorted(SWEEP_REGISTRY))}", file=sys.stderr)
+        print(f"registered: {', '.join(sorted(checks))}", file=sys.stderr)
         return 2
-    runner, residual_keys, fidelity_keys = SWEEP_REGISTRY[check_name]
+    check = checks[check_name]
 
     reports, messages = _run_collecting_warnings(
-        lambda: [(value, runner(value, config)) for value in values]
+        lambda: [(value, check.run(check.sweep(value), config)) for value in values]
     )
 
     if config.output_format == "json":
@@ -478,12 +479,12 @@ def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
         text = _json_text(body)
     else:
         buf = io.StringIO()
-        header = ["check", "value", *residual_keys, *fidelity_keys, "passed"]
+        header = ["check", "value", *check.residuals, *check.fidelities, "passed"]
         buf.write(",".join(header) + "\n")
         for v, r in reports:
             row = [check_name, repr(float(v))]
-            row += [repr(float(r.residuals.get(k, float("nan")))) for k in residual_keys]
-            row += [repr(float(r.fidelities.get(k, float("nan")))) for k in fidelity_keys]
+            row += [repr(float(r.residuals.get(k, float("nan")))) for k in check.residuals]
+            row += [repr(float(r.fidelities.get(k, float("nan")))) for k in check.fidelities]
             row.append(str(r.passed))
             buf.write(",".join(row) + "\n")
         text = buf.getvalue()

@@ -267,10 +267,9 @@ def _expm_array(g: np.ndarray) -> np.ndarray:
     """Matrix exponential of a dense array; raises on non-finite entries in
     the generator or in its exponential.
 
-    Its remaining callers are the coherent states
-    (``states.coherent_with_deficit``) and, through ``expm``, the Perelomov
-    states; ``fockforge.lie`` exponentiates the displacement, the squeezes and
-    the two-mode unitaries chain by chain.
+    Its only production caller is ``states.coherent_with_deficit``;
+    ``fockforge.lie`` exponentiates the displacement, the squeezes and the
+    two-mode unitaries chain by chain.
     """
     if not np.all(np.isfinite(g)):
         raise ValueError("generator has non-finite entries")
@@ -281,7 +280,8 @@ def _expm_array(g: np.ndarray) -> np.ndarray:
 
 
 def expm(g: Operator) -> Operator:
-    """Matrix exponential of an operator; raises on non-finite entries."""
+    """Matrix exponential of an operator; raises on non-finite entries.  Only
+    the tests call it: ``states.coherent_with_deficit`` calls ``_expm_array``."""
     return Operator(_expm_array(np.asarray(g.entries)), g.modes, g.cutoff)
 
 

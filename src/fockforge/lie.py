@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
-from .config import _guard_cosh
+from .config import DEFAULT_TOLERANCES, _guard_cosh
 from .fock import Cutoff, Ket, Operator, PolarParam, annihilation, dagger, identity, number, tensor
 
 
@@ -210,7 +210,10 @@ def sector_blocks(
     """The blocks of exp(kappa X+ - conj(kappa) X-), one per conserved chain,
     or only the chains through the flat indices ``meets``; two-mode su(1,1)
     parameters must pass the cosh guard.  kappa = 0 gives exact identity
-    blocks, with no eigensolve."""
+    blocks, with no eigensolve.  A chain's phases e^{-i |kappa| mu} carry an
+    error of about |kappa| max|mu| eps, eps the machine epsilon; past the
+    identity-residual tolerance this raises ValueError, since the block would
+    be finite and unitary but meaningless."""
     if algebra == "su11" and modes == 2:
         _guard_cosh(kappa.modulus, "kappa")
     turn = kappa.phase + math.pi / 2
@@ -229,6 +232,13 @@ def sector_blocks(
             blocks.append(SectorBlock(index, ones, np.eye(size), ones))
             continue
         mu, w = eigh_tridiagonal(np.zeros(size), ladder)
+        # mu comes back ascending, so its largest modulus is max(-mu[0], mu[-1])
+        phase_error = kappa.modulus * max(-mu[0], mu[-1]) * np.finfo(float).eps
+        if phase_error > DEFAULT_TOLERANCES.identity_residual:
+            raise ValueError(
+                f"{algebra} parameter |kappa| = {kappa.modulus:.4g} is too large: "
+                f"a float cannot resolve the chain phases at n_max={cutoff.n_max}"
+            )
         phase = np.exp(1j * turn * np.arange(size))
         blocks.append(SectorBlock(index, phase, w, np.exp(-1j * kappa.modulus * mu)))
     return blocks

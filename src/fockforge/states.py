@@ -6,10 +6,9 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import gammaln
+from scipy.special import binom, gammaln
 
-from .config import DEFAULT_TOLERANCES, PERELOMOV_AMPLITUDE_BOUND
+from .config import PERELOMOV_AMPLITUDE_BOUND
 from .fock import (
     Cutoff,
     CutoffWarning,
@@ -19,10 +18,9 @@ from .fock import (
     _expm_array,
     annihilation,
     dagger,
-    expm,
     tail_warning,
 )
-from .lie import SpinJ, SpinK, sector_chains, sector_operator, su2_generators, su11_generators
+from .lie import SpinJ, SpinK, sector_operator
 
 
 def vacuum(cutoff: Cutoff, modes: int = 1) -> Ket:
@@ -41,24 +39,8 @@ def number_state(n: int, cutoff: Cutoff) -> Ket:
 
 
 def displacement(alpha: PolarParam, cutoff: Cutoff) -> Operator:
-    """Unitary exp(alpha a† - conj(alpha) a), built on the Heisenberg-Weyl
-    chain of the sector kernel; warns when the tail rule fails.
-
-    The chain's phases e^{-i |alpha| mu} carry an absolute error of about
-    |alpha| max|mu| eps, eps the machine epsilon.  An amplitude that takes this
-    past the identity-residual tolerance is rejected with ValueError: its
-    result would be finite and unitary but meaningless.
-    """
-    ((_, ladder),) = sector_chains("hw", cutoff, modes=1)
-    top = cutoff.n_max
-    mu_max = eigvalsh_tridiagonal(
-        np.zeros(cutoff.dim), ladder, select="i", select_range=(top, top)
-    )[0]
-    if alpha.modulus * mu_max * np.finfo(float).eps > DEFAULT_TOLERANCES.identity_residual:
-        raise ValueError(
-            f"displacement amplitude |alpha| = {alpha.modulus:.4g} is too large: "
-            f"a float cannot resolve its phases at n_max={cutoff.n_max}"
-        )
+    """Unitary exp(alpha a† - conj(alpha) a) on the sector kernel's Heisenberg-Weyl
+    chain, which rejects unresolvable phases; warns when the tail rule fails."""
     tail_warning(alpha.modulus, cutoff, context="displacement")
     return sector_operator("hw", alpha, cutoff, modes=1)
 
@@ -124,12 +106,14 @@ def phase_rotation(t: float, cutoff: Cutoff) -> Operator:
 
 
 def perelomov_su2(z: PolarParam, spin: SpinJ) -> Ket:
-    """exp(z J+ - conj(z) J-) applied to the lowest-weight state; exactly unit norm."""
-    triple = su2_generators(spin)
-    gen = z.value * triple.plus - z.conj * triple.minus
-    u = expm(gen)
-    amps = u.entries[:, 0].copy()
-    return Ket(amps, 1, Cutoff(spin.two_j), normalized=True)
+    """exp(z J+ - conj(z) J-) applied to the lowest-weight state, in closed form:
+    sqrt(C(2J, n)) cos^(2J-n)|z| sin^n|z| e^{i n phase(z)}; exactly unit norm.
+    The tan|z| form would flip sign past |z| = pi/2 and is infinite there."""
+    n = np.arange(spin.dim)
+    r = z.modulus
+    # real magnitudes times phases, so that z = 0 gives the exact lowest weight
+    mags = np.sqrt(binom(spin.two_j, n)) * math.cos(r) ** (spin.two_j - n) * math.sin(r) ** n
+    return Ket(mags * np.exp(1j * z.phase * n), 1, Cutoff(spin.two_j), normalized=True)
 
 
 def su11_adequate_cutoff(z_abs: float, bound: float = PERELOMOV_AMPLITUDE_BOUND) -> int:
@@ -141,7 +125,9 @@ def su11_adequate_cutoff(z_abs: float, bound: float = PERELOMOV_AMPLITUDE_BOUND)
 
 
 def perelomov_su11(z: PolarParam, spin: SpinK) -> Ket:
-    """exp(z K+ - conj(z) K-) applied to |K,0>, truncated at the spin's cutoff.
+    """exp(z K+ - conj(z) K-) applied to |K,0>, in closed form:
+    sqrt(Gamma(2K+n) / (n! Gamma(2K))) sech^(2K)|z| tanh^n|z| e^{i n phase(z)},
+    the untruncated amplitudes restricted to the spin's cutoff (not renormalized).
 
     Amplitudes decay like tanh(|z|)^n; warns when the cutoff leaves the
     amplitude at the boundary above the adequacy bound.
@@ -155,10 +141,11 @@ def perelomov_su11(z: PolarParam, spin: SpinK) -> Ket:
                 CutoffWarning,
                 stacklevel=2,
             )
-    triple = su11_generators(spin)
-    gen = z.value * triple.plus - z.conj * triple.minus
-    u = expm(gen)
-    return Ket(u.entries[:, 0].copy(), 1, spin.cutoff, normalized=True)
+    n = np.arange(spin.cutoff.dim)
+    two_k = float(spin.two_k)
+    r = z.modulus
+    mags = np.sqrt(binom(two_k - 1 + n, n)) * math.tanh(r) ** n / math.cosh(r) ** two_k
+    return Ket(mags * np.exp(1j * z.phase * n), 1, spin.cutoff, normalized=False)
 
 
 def squeezed_coherent(beta: PolarParam, alpha: PolarParam, cutoff: Cutoff) -> Ket:

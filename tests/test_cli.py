@@ -7,7 +7,7 @@ import pytest
 
 import fockforge.cli
 import fockforge.protocols
-from fockforge.cli import SWEEP_REGISTRY, RunConfig, _json_text, main
+from fockforge.cli import FORMULA_CHECKS, PROTOCOL_CHECKS, RunConfig, _json_text, main
 from fockforge.report import make_report
 
 
@@ -176,14 +176,28 @@ class TestSweepCommand:
         assert out == ""
         assert err == "error: --values must be finite numbers, got 'abc'\n"
 
-    @pytest.mark.parametrize("name", sorted(SWEEP_REGISTRY))
-    def test_registry_columns_match_reports(self, name):
+    def test_amplitude_past_float_resolution_is_config_error(self, capsys):
+        # the su(2) chain phases lose |t| max|mu| eps: at 1e12 the residual means nothing
+        argv = ["sweep", "--check", "check_J_rotation", "--values", "1e12"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "a float cannot resolve the chain phases" in err
+
+    def test_large_amplitude_within_float_resolution_runs(self, capsys):
+        argv = ["sweep", "--check", "check_J_rotation", "--values", "1e5,1e6", "--format", "csv"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.count("True") == 2
+
+    @pytest.mark.parametrize("check", FORMULA_CHECKS + PROTOCOL_CHECKS, ids=lambda c: c.name)
+    def test_registry_columns_match_reports(self, check):
         # a misspelled column would print as a silent nan in the CSV
-        runner, residual_keys, fidelity_keys = SWEEP_REGISTRY[name]
         for value in (0.0, 0.3):
-            report = runner(value, RunConfig())
-            assert tuple(report.residuals) == residual_keys
-            assert tuple(report.fidelities) == fidelity_keys
+            report = check.run(check.sweep(value), RunConfig())
+            assert tuple(report.residuals) == check.residuals
+            assert tuple(report.fidelities) == check.fidelities
 
     def test_sweep_calls_the_current_module_binding(self, capsys, monkeypatch):
         # wrappers installed by rebinding fockforge.cli attributes must see every call

@@ -155,6 +155,10 @@ class TestSDS:
             rep = check_SDS(random_param(0.05, 0.8), random_param(0.1, 1.0))
             assert rep.passed and rep.worst_residual <= 1e-8
 
+    def test_rejects_amplitude_past_float_resolution(self):
+        with pytest.raises(ValueError, match="a float cannot resolve the chain phases"):
+            check_SDS(PolarParam.from_value(0.3), PolarParam.from_value(1e20))
+
 
 class TestNoDenseDisplacement:
     def test_single_mode_displacement_checks_avoid_dense_expm(self, monkeypatch):

@@ -24,10 +24,10 @@ from fockforge import (
     two_mode_squeezer_UK,
 )
 from fockforge.cli import RunConfig, _lie_reports
-from fockforge.config import COSH_GUARD, TAIL_BOUND
+from fockforge.config import COSH_GUARD, DEFAULT_TOLERANCES, TAIL_BOUND
 from fockforge.fock import annihilation, poisson_tail, safe_indices
-from fockforge.lie import apply_sectors, safe_rows, sector_chains, sector_operator
-from fockforge.states import coherent_series
+from fockforge.lie import apply_sectors, safe_rows, sector_blocks, sector_chains, sector_operator
+from fockforge.states import coherent_series, vacuum
 from test_acceptance import _closure
 
 BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}
@@ -391,6 +391,35 @@ class TestHeisenbergWeylChain:
         built = sector_operator("hw", PolarParam.from_value(1.01 * alpha.value), cut, modes=1).entries
         assert _dense_gap(built, alpha, cut) > 1e-13
         assert _series_gap(built, alpha, cut) > SERIES_GAP
+
+
+class TestPhaseResolutionGuard:
+    """sector_blocks rejects a parameter whose chain phases e^{-i |kappa| mu}
+    a float cannot resolve, on every chain and every route through it."""
+
+    @pytest.mark.parametrize("algebra, modes", [("hw", 1), ("su11", 1), ("su2", 2)])
+    def test_limit_is_the_identity_tolerance(self, algebra, modes):
+        cut = Cutoff(10)
+        mu_max = max(
+            np.abs(np.linalg.eigvalsh(np.diag(ladder, 1) + np.diag(ladder, -1))).max()
+            for *_, ladder in sector_chains(algebra, cut, modes)
+        )
+        limit = DEFAULT_TOLERANCES.identity_residual / (mu_max * np.finfo(float).eps)
+        sector_blocks(algebra, PolarParam.from_value(0.99 * limit), cut, modes)
+        with pytest.raises(ValueError, match="a float cannot resolve the chain phases"):
+            sector_blocks(algebra, PolarParam.from_value(1.01 * limit), cut, modes)
+
+    @pytest.mark.parametrize("route", ["whole", "safe_rows", "apply_sectors"])
+    def test_every_two_mode_route_is_guarded(self, route):
+        cut = Cutoff(8)
+        kappa = PolarParam.from_value(1e12)
+        build = {
+            "whole": lambda: sector_operator("su2", kappa, cut),
+            "safe_rows": lambda: safe_rows("su2", kappa, cut, safe_indices(cut, 2, modes=2)),
+            "apply_sectors": lambda: apply_sectors("su2", kappa, vacuum(cut, modes=2)),
+        }[route]
+        with pytest.raises(ValueError, match="a float cannot resolve the chain phases"):
+            build()
 
 
 class TestSingleModeSu11:

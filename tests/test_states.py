@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +30,9 @@ from fockforge import (
     phase_rotation,
     squeeze,
     squeezed_coherent,
+    su2_generators,
     su11_adequate_cutoff,
+    su11_generators,
     vacuum,
 )
 from fockforge.fock import safe_indices
@@ -100,7 +101,7 @@ class TestDisplacement:
     @pytest.mark.parametrize("modulus", [1e20, 1e150])
     def test_rejects_amplitude_whose_phases_a_float_cannot_resolve(self, modulus):
         # the chain would return a finite, unitary, meaningless matrix here
-        with pytest.raises(ValueError, match=re.escape(f"|alpha| = {modulus:.4g}")):
+        with pytest.raises(ValueError, match="a float cannot resolve the chain phases"):
             displacement(PolarParam.from_value(modulus), Cutoff(10))
 
     def test_full_support_for_nonzero_alpha(self):
@@ -155,6 +156,10 @@ class TestSqueeze:
         s = squeeze(z, c)
         s_neg = squeeze(PolarParam.from_value(-z.value), c)
         assert np.abs(dagger(s).entries - s_neg.entries).max() < 1e-10
+
+    def test_rejects_parameter_whose_phases_a_float_cannot_resolve(self):
+        with pytest.raises(ValueError, match="a float cannot resolve the chain phases"):
+            squeeze(PolarParam.from_value(1e12), Cutoff(20))
 
     @pytest.mark.parametrize("z", [PolarParam.from_polar(0.6, 0.9), PolarParam.from_polar(0.8, -2.4)])
     def test_squeezed_vacuum_oracle(self, z):
@@ -233,6 +238,58 @@ class TestPerelomovSu11:
     def test_warns_when_cutoff_too_small(self):
         with pytest.warns(CutoffWarning):
             perelomov_su11(PolarParam.from_polar(0.9, 0.0), SpinK(Fraction(1, 2), Cutoff(4)))
+
+
+def _dense_lowest_weight_orbit(triple, z: PolarParam) -> np.ndarray:
+    """Column 0 of one unsplit dense exp(z X+ - conj(z) X-)."""
+    return dense_expm(z.value * triple.plus.entries - z.conj * triple.minus.entries)[:, 0]
+
+
+def _su11_closed_form_gap(z: PolarParam, two_k: Fraction, scale: float = 1.0) -> float:
+    """Worst gap over the first 40 amplitudes between the closed form at
+    scale |z| and the dense route at |z|.  The dense route is truncated 40
+    levels past su11_adequate_cutoff, which ignores the amplitudes'
+    polynomial prefactor: truncated there, it is off by up to 4e-10 at 2K = 4."""
+    spin = SpinK(two_k, Cutoff(su11_adequate_cutoff(z.modulus) + 40))
+    want = _dense_lowest_weight_orbit(su11_generators(spin), z)[:40]
+    got = perelomov_su11(PolarParam.from_polar(scale * z.modulus, z.phase), spin)
+    return float(np.abs(got.amplitudes[:40] - want).max())
+
+
+def _su2_closed_form_gap(z: PolarParam, two_j: int, scale: float = 1.0) -> float:
+    want = _dense_lowest_weight_orbit(su2_generators(SpinJ(two_j)), z)
+    got = perelomov_su2(PolarParam.from_polar(scale * z.modulus, z.phase), SpinJ(two_j))
+    return float(np.abs(got.amplitudes - want).max())
+
+
+class TestPerelomovClosedForms:
+    """The closed-form generalized coherent states against the dense route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.0, 3.0), st.floats(-math.pi, math.pi))
+    def test_su2_matches_dense_expm(self, two_j, modulus, phase):
+        assert _su2_closed_form_gap(PolarParam.from_polar(modulus, phase), two_j) <= 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(4)]),
+        st.floats(0.0, 1.5),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_su11_matches_dense_expm(self, two_k, modulus, phase):
+        assert _su11_closed_form_gap(PolarParam.from_polar(modulus, phase), two_k) <= 1e-13
+
+    @pytest.mark.parametrize("modulus", [0.4, 1.3, 2.5])
+    def test_su2_scaled_modulus_fails(self, modulus):
+        z = PolarParam.from_polar(modulus, 0.7)
+        for two_j in (1, 4, 30):
+            assert _su2_closed_form_gap(z, two_j, scale=1.01) > 1e-6
+
+    @pytest.mark.parametrize("modulus", [0.2, 0.9, 1.5])
+    def test_su11_scaled_modulus_fails(self, modulus):
+        z = PolarParam.from_polar(modulus, 0.7)
+        for two_k in (Fraction(1, 2), Fraction(4)):
+            assert _su11_closed_form_gap(z, two_k, scale=1.01) > 1e-6
 
 
 class TestSqueezedCoherent:
