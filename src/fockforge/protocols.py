@@ -4,21 +4,13 @@ cloning, and the squeezed-pair obstruction to a squeeze swap."""
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh
-from .fock import (
-    Cutoff,
-    Ket,
-    PolarParam,
-    tail_warning,
-    tensor_ket,
-)
+from .fock import Cutoff, Ket, PolarParam, tail_warning, tensor_ket
 from .formulas import (
     _conjugated_squeeze_pair,
     _hyperbolic_margin,
@@ -26,16 +18,10 @@ from .formulas import (
     _two_mode_ladders,
     squeeze_pair_exponent_coefficients,
 )
-# the two builders are re-exported: fockforge.protocols.beamsplitter_UJ stays public
-from .lie import apply_sectors, beamsplitter_UJ, two_mode_squeezer_UK
+# beamsplitter_UJ is bound here only because perfbench/run.py wraps protocols.beamsplitter_UJ
+from .lie import apply_sectors, beamsplitter_UJ
 from .report import Report, make_report
-from .states import (
-    coherent_with_deficit,
-    fidelity,
-    occupation_expectations,
-    phase_factors,
-    vacuum,
-)
+from .states import coherent_with_deficit, fidelity, occupation_expectations, phase_factors
 
 SWAP_CUTOFF = Cutoff(36)
 CLONE_CUTOFF = Cutoff(40)
@@ -49,7 +35,7 @@ class TwoModeProtocolResult:
     output: Ket
     predicted: Ket
     fidelity: float
-    stages: tuple[tuple[str, Callable[[Ket], Ket]], ...]
+    stages: tuple[str, ...]
     report: Report
 
     def mean_occupations(self) -> tuple[float, float]:
@@ -60,7 +46,7 @@ class TwoModeProtocolResult:
         n1, n2 = self.mean_occupations()
         return {
             "fidelity": self.fidelity,
-            "stages": [name for name, _ in self.stages],
+            "stages": list(self.stages),
             "mean_occupations": [n1, n2],
             "report": self.report.to_json_dict(),
         }
@@ -74,16 +60,31 @@ def _coherent_pair(
     return tensor_ket(k1, k2), max(d1, d2)
 
 
-def _phase_stage(t1: float, t2: float, cutoff: Cutoff) -> Callable[[Ket], Ket]:
-    """exp(i t1 N) (x) exp(i t2 N) as an elementwise product on the amplitudes."""
-    factors = np.outer(phase_factors(t1, cutoff), phase_factors(t2, cutoff)).reshape(-1)
-    return lambda ket: Ket(ket.amplitudes * factors, 2, cutoff)
+def _beamsplitter_circuit(
+    label: str,
+    inputs: tuple[PolarParam, PolarParam],
+    kappa: PolarParam,
+    phases: tuple[float, float] | None,
+    outputs: tuple[PolarParam, PolarParam],
+    cutoff: Cutoff,
+) -> tuple[Ket, float, Ket, Ket, float]:
+    """|a1> (x) |a2> through exp(kappa J+ - conj(kappa) J-) and, when
+    ``phases`` = (t1, t2) is given, exp(i t1 N) (x) exp(i t2 N).
 
-
-def _run_stages(stages, ket: Ket) -> Ket:
-    for _, stage in stages:
-        ket = stage(ket)
-    return ket.normalize()
+    Returns the input pair, its truncation deficit, the renormalized output,
+    the coherent pair at ``outputs`` and the fidelity between the two.
+    """
+    # the beamsplitter truncates by total occupation: guard the combined amplitude
+    tail_warning(math.hypot(inputs[0].modulus, inputs[1].modulus), cutoff, context=label)
+    incoming, in_deficit = _coherent_pair(*inputs, cutoff)
+    ket = apply_sectors("su2", kappa, incoming)
+    if phases is not None:
+        t1, t2 = phases
+        factors = np.outer(phase_factors(t1, cutoff), phase_factors(t2, cutoff)).reshape(-1)
+        ket = Ket(ket.amplitudes * factors, 2, cutoff)
+    output = ket.normalize()
+    predicted, _ = _coherent_pair(*outputs, cutoff)
+    return incoming, in_deficit, output, predicted, fidelity(output, predicted)
 
 
 def apply_beamsplitter(
@@ -102,21 +103,14 @@ def apply_beamsplitter(
     cutoff = cutoff or SWAP_CUTOFF
     tol = DEFAULT_TOLERANCES.fidelity_deficit if tolerance is None else tolerance
 
-    # the beamsplitter truncates by total occupation: guard the combined amplitude
-    combined = math.hypot(alpha1.modulus, alpha2.modulus)
-    tail_warning(combined, cutoff, context="beamsplitter input")
-
-    stages = (("beamsplitter", partial(apply_sectors, "su2", kappa)),)
-    incoming, in_deficit = _coherent_pair(alpha1, alpha2, cutoff)
-    output = _run_stages(stages, incoming)
-
     m = kappa.modulus
     ks = kappa.value * _sinc(m)  # e^{i delta} sin|kappa|
     out1 = PolarParam.from_value(math.cos(m) * alpha1.value + ks * alpha2.value)
     out2 = PolarParam.from_value(math.cos(m) * alpha2.value - ks.conjugate() * alpha1.value)
-    predicted, _ = _coherent_pair(out1, out2, cutoff)
+    incoming, in_deficit, output, predicted, f = _beamsplitter_circuit(
+        "beamsplitter input", (alpha1, alpha2), kappa, None, (out1, out2), cutoff
+    )
 
-    f = fidelity(output, predicted)
     n_out = sum(occupation_expectations(output))
     n_in = sum(occupation_expectations(incoming))
     residuals = {
@@ -124,15 +118,9 @@ def apply_beamsplitter(
         "input_truncation_deficit": in_deficit,
     }
     report = make_report(
-        "apply_beamsplitter",
-        (alpha1, alpha2, kappa),
-        cutoff,
-        0,
-        residuals,
-        {"protocol": f},
-        tol,
+        "apply_beamsplitter", (alpha1, alpha2, kappa), cutoff, 0, residuals, {"protocol": f}, tol
     )
-    return TwoModeProtocolResult(output, predicted, f, stages, report)
+    return TwoModeProtocolResult(output, predicted, f, ("beamsplitter",), report)
 
 
 def full_swap(
@@ -150,30 +138,14 @@ def full_swap(
     cutoff = cutoff or SWAP_CUTOFF
     tol = DEFAULT_TOLERANCES.fidelity_deficit if tolerance is None else tolerance
 
-    # the beamsplitter truncates by total occupation: guard the combined amplitude
-    combined = math.hypot(alpha1.modulus, alpha2.modulus)
-    tail_warning(combined, cutoff, context="swap input")
-
     kappa = PolarParam.from_polar(math.pi / 2, delta)
-    stages = (
-        ("beamsplitter", partial(apply_sectors, "su2", kappa)),
-        ("phase_rotation", _phase_stage(-delta, delta + math.pi, cutoff)),
+    _, in_deficit, output, predicted, f = _beamsplitter_circuit(
+        "swap input", (alpha1, alpha2), kappa, (-delta, delta + math.pi), (alpha2, alpha1), cutoff
     )
-    incoming, in_deficit = _coherent_pair(alpha1, alpha2, cutoff)
-    output = _run_stages(stages, incoming)
-    predicted, _ = _coherent_pair(alpha2, alpha1, cutoff)
-
-    f = fidelity(output, predicted)
-    report = make_report(
-        "full_swap",
-        (alpha1, alpha2, PolarParam.from_value(delta)),
-        cutoff,
-        0,
-        {"input_truncation_deficit": in_deficit},
-        {"swap": f},
-        tol,
-    )
-    return TwoModeProtocolResult(output, predicted, f, stages, report)
+    residuals = {"input_truncation_deficit": in_deficit}
+    params = (alpha1, alpha2, PolarParam.from_value(delta))
+    report = make_report("full_swap", params, cutoff, 0, residuals, {"swap": f}, tol)
+    return TwoModeProtocolResult(output, predicted, f, ("beamsplitter", "phase_rotation"), report)
 
 
 def imperfect_clone(
@@ -192,21 +164,14 @@ def imperfect_clone(
     cutoff = cutoff or CLONE_CUTOFF
     tol = DEFAULT_TOLERANCES.fidelity_deficit if tolerance is None else tolerance
 
-    tail_warning(alpha.modulus, cutoff, context="clone input")
-
     kappa = PolarParam.from_polar(math.pi / 4, delta)
-    stages = (
-        ("beamsplitter", partial(apply_sectors, "su2", kappa)),
-        ("phase_rotation", _phase_stage(0.0, delta + math.pi, cutoff)),
-    )
-    in1, in_deficit = coherent_with_deficit(alpha, cutoff)
-    incoming = tensor_ket(in1, vacuum(cutoff))
-    output = _run_stages(stages, incoming)
-
     half = PolarParam.from_value(alpha.value / math.sqrt(2))
-    predicted, _ = _coherent_pair(half, half, cutoff)
+    # the idle mode is amplitude 0, which coherent_with_deficit gives as exactly |0>
+    _, in_deficit, output, predicted, f = _beamsplitter_circuit(
+        "clone input", (alpha, PolarParam.from_value(0)), kappa, (0.0, delta + math.pi),
+        (half, half), cutoff,
+    )
 
-    f = fidelity(output, predicted)
     n1, n2 = occupation_expectations(output)
     target_occupation = alpha.modulus ** 2 / 2
     residuals = {
@@ -214,16 +179,8 @@ def imperfect_clone(
         "marginal2_occupation": abs(n2 - target_occupation),
         "input_truncation_deficit": in_deficit,
     }
-    report = make_report(
-        "imperfect_clone",
-        (alpha,),
-        cutoff,
-        0,
-        residuals,
-        {"clone": f},
-        tol,
-    )
-    return TwoModeProtocolResult(output, predicted, f, stages, report)
+    report = make_report("imperfect_clone", (alpha,), cutoff, 0, residuals, {"clone": f}, tol)
+    return TwoModeProtocolResult(output, predicted, f, ("beamsplitter", "phase_rotation"), report)
 
 
 def _obstruction_blocks(

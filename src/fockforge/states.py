@@ -6,7 +6,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import binom, gammaln
+from scipy.special import betaln, binom, gammaln
 
 from .config import PERELOMOV_AMPLITUDE_BOUND
 from .fock import (
@@ -116,12 +116,36 @@ def perelomov_su2(z: PolarParam, spin: SpinJ) -> Ket:
     return Ket(mags * np.exp(1j * z.phase * n), 1, Cutoff(spin.two_j), normalized=True)
 
 
-def su11_adequate_cutoff(z_abs: float, bound: float = PERELOMOV_AMPLITUDE_BOUND) -> int:
-    """Smallest truncation with tanh(|z|)^n_max below the amplitude bound."""
+def su11_adequate_cutoff(z_abs: float, two_k: float) -> int:
+    """Smallest truncation past the amplitude peak at which the closed-form
+    boundary amplitude of the spin-K state (see perelomov_su11) lies below
+    PERELOMOV_AMPLITUDE_BOUND, found by bisection.
+
+    Raises ValueError when tanh|z| rounds to 1: the amplitudes then never decay.
+    """
     if z_abs == 0.0:
         return 1
     rate = math.tanh(z_abs)
-    return max(1, math.ceil(math.log(bound) / math.log(rate)))
+    if rate == 1.0:
+        raise ValueError(f"su(1,1) state |z| = {z_abs:.4g} is too large: tanh|z| rounds to 1")
+    log_rate, log_sech = math.log(rate), -math.log(math.cosh(z_abs))
+    log_bound = math.log(PERELOMOV_AMPLITUDE_BOUND)
+
+    def below(n: int) -> bool:
+        # Gamma(2K+n) / (n! Gamma(2K)) = 1 / ((2K+n) B(2K, n+1)); betaln keeps its
+        # digits at n ~ 1e16, where a difference of gammaln values has none left
+        log_binom = -math.log(two_k + n) - betaln(two_k, n + 1)
+        return 0.5 * log_binom + two_k * log_sech + n * log_rate < log_bound
+
+    # the amplitudes fall from the peak on, where tanh^2|z| (2K + n) <= n + 1
+    lo = max(0, math.ceil(two_k * math.sinh(z_abs) ** 2 - math.cosh(z_abs) ** 2))
+    hi = lo + 1
+    while not below(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return hi
 
 
 def perelomov_su11(z: PolarParam, spin: SpinK) -> Ket:
@@ -132,8 +156,9 @@ def perelomov_su11(z: PolarParam, spin: SpinK) -> Ket:
     Amplitudes decay like tanh(|z|)^n; warns when the cutoff leaves the
     amplitude at the boundary above the adequacy bound.
     """
+    two_k = float(spin.two_k)
     if z.modulus > 0:
-        needed = su11_adequate_cutoff(z.modulus)
+        needed = su11_adequate_cutoff(z.modulus, two_k)
         if spin.cutoff.n_max < needed:
             warnings.warn(
                 f"cutoff inadequate for su(1,1) state: n_max={spin.cutoff.n_max} "
@@ -142,7 +167,6 @@ def perelomov_su11(z: PolarParam, spin: SpinK) -> Ket:
                 stacklevel=2,
             )
     n = np.arange(spin.cutoff.dim)
-    two_k = float(spin.two_k)
     r = z.modulus
     mags = np.sqrt(binom(two_k - 1 + n, n)) * math.tanh(r) ** n / math.cosh(r) ** two_k
     return Ket(mags * np.exp(1j * z.phase * n), 1, spin.cutoff, normalized=False)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as dense_expm
 
+import fockforge.protocols
 from fockforge import (
     Cutoff,
     CutoffWarning,
@@ -16,6 +17,7 @@ from fockforge import (
     check_SDS,
     check_phase_formula,
     coherent,
+    coherent_with_deficit,
     dagger,
     fidelity,
     full_swap,
@@ -32,6 +34,7 @@ from fockforge import (
 )
 from fockforge.fock import safe_indices
 from fockforge.formulas import _hyperbolic_margin, squeeze_pair_exponent_coefficients
+from fockforge.lie import apply_sectors
 from fockforge.protocols import _obstruction_blocks
 
 RNG = np.random.default_rng(31)
@@ -182,7 +185,7 @@ class TestFullSwap:
     def test_basic_swap(self):
         res = full_swap(PolarParam.from_value(1.0), PolarParam.from_value(1j), 0.0)
         assert res.fidelity >= 1 - 1e-8
-        assert [name for name, _ in res.stages] == ["beamsplitter", "phase_rotation"]
+        assert res.stages == ("beamsplitter", "phase_rotation")
 
     def test_delta_independence(self):
         a1, a2 = PolarParam.from_value(0.9), PolarParam.from_value(0.4 - 0.6j)
@@ -228,6 +231,26 @@ class TestImperfectClone:
         res = imperfect_clone(PolarParam.from_value(1.2))
         rho1, rho2 = partial_traces(res.output)
         assert np.linalg.norm(rho1 - rho2, "fro") <= 1e-8
+
+
+class TestSharedCircuit:
+    @pytest.mark.parametrize("n_max", [10, 40, 59])
+    def test_idle_mode_is_exact_vacuum(self, n_max):
+        # the clone's second input is the coherent state at amplitude 0
+        c = Cutoff(n_max)
+        ket, deficit = coherent_with_deficit(PolarParam.from_value(0), c)
+        np.testing.assert_array_equal(ket.amplitudes, vacuum(c).amplitudes)
+        assert deficit == 0.0
+
+    def test_swap_and_clone_call_no_other_protocol(self, monkeypatch):
+        # the benchmark counts each call of a public protocol as one operation
+        def forbidden(*args, **kwargs):
+            raise AssertionError("apply_beamsplitter was called")
+
+        monkeypatch.setattr(fockforge.protocols, "apply_beamsplitter", forbidden)
+        alpha = PolarParam.from_value(0.8 - 0.3j)
+        assert full_swap(alpha, PolarParam.from_value(0.5j), 0.4).report.passed
+        assert imperfect_clone(alpha, delta=-0.6).report.passed
 
 
 class TestCutoffWarnings:
@@ -276,13 +299,17 @@ class TestLargeAmplitude:
         assert cloned.mean_occupations() == pytest.approx((half, half), abs=1e-6)
 
     def test_stages_map_kets_to_kets(self):
+        # the named stages, applied by hand: the beamsplitter, then the phase product
         c = Cutoff(16)
         a1, a2 = PolarParam.from_value(0.6 - 0.2j), PolarParam.from_value(0.4j)
-        res = full_swap(a1, a2, 0.9, c)
+        delta = 0.9
+        res = full_swap(a1, a2, delta, c)
         ket = tensor_ket(coherent(a1, c), coherent(a2, c))
-        for _, stage in res.stages:
-            ket = stage(ket)
-        np.testing.assert_allclose(ket.normalize().amplitudes, res.output.amplitudes, atol=1e-15)
+        ket = apply_sectors("su2", PolarParam.from_polar(math.pi / 2, delta), ket)
+        n = np.arange(c.dim)
+        phases = np.outer(np.exp(-1j * delta * n), np.exp(1j * (delta + math.pi) * n))
+        amps = ket.amplitudes * phases.reshape(-1)
+        np.testing.assert_allclose(amps / np.linalg.norm(amps), res.output.amplitudes, atol=1e-15)
 
 
 class TestObstruction:

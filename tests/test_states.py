@@ -35,6 +35,7 @@ from fockforge import (
     su11_generators,
     vacuum,
 )
+from fockforge.config import PERELOMOV_AMPLITUDE_BOUND
 from fockforge.fock import safe_indices
 
 RNG = np.random.default_rng(41)
@@ -231,13 +232,42 @@ class TestPerelomovSu11:
 
     def test_norm_deficit_small_at_adequate_cutoff(self):
         z = PolarParam.from_polar(0.5, 0.0)
-        n_needed = su11_adequate_cutoff(z.modulus)
+        n_needed = su11_adequate_cutoff(z.modulus, 0.5)
         k = perelomov_su11(z, SpinK(Fraction(1, 2), Cutoff(n_needed)))
         assert abs(k.norm - 1.0) <= 1e-8
 
     def test_warns_when_cutoff_too_small(self):
         with pytest.warns(CutoffWarning):
             perelomov_su11(PolarParam.from_polar(0.9, 0.0), SpinK(Fraction(1, 2), Cutoff(4)))
+
+    @pytest.mark.parametrize("modulus", [0.3, 0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("two_k", [Fraction(1, 2), Fraction(4)])
+    def test_adequate_cutoff_is_minimal(self, two_k, modulus):
+        # the boundary amplitude, prefactor included, is below the bound at
+        # the adequate cutoff and not one level lower
+        n_max = su11_adequate_cutoff(modulus, float(two_k))
+        amps = np.abs(perelomov_su11(PolarParam.from_polar(modulus, 0.4),
+                                     SpinK(two_k, Cutoff(n_max))).amplitudes)
+        assert amps[-1] < PERELOMOV_AMPLITUDE_BOUND <= amps[-2]
+
+    @pytest.mark.parametrize("two_k", [0.5, 4.0])
+    def test_adequate_cutoff_keeps_its_digits_near_tanh_one(self, two_k):
+        # at |z| = 15 the cutoff is ~1e14, where log(Gamma(2K+n) / n!) is
+        # (2K-1) log n to 1e-13: an independent route to the boundary amplitude
+        n_max = su11_adequate_cutoff(15.0, two_k)
+        log_amp = (
+            0.5 * ((two_k - 1) * math.log(n_max) - gammaln(two_k))
+            - two_k * math.log(math.cosh(15.0))
+            + n_max * math.log(math.tanh(15.0))
+        )
+        assert abs(log_amp - math.log(PERELOMOV_AMPLITUDE_BOUND)) < 1e-6
+
+    def test_unresolvable_modulus_is_value_error(self):
+        # tanh|z| rounds to 1.0 past |z| ~ 19.06, so no cutoff is adequate
+        with pytest.raises(ValueError, match=r"\|z\| = 19\.5"):
+            su11_adequate_cutoff(19.5, 4.0)
+        with pytest.raises(ValueError, match=r"\|z\| = 19\.5"):
+            perelomov_su11(PolarParam.from_value(19.5), SpinK(Fraction(4), Cutoff(10)))
 
 
 def _dense_lowest_weight_orbit(triple, z: PolarParam) -> np.ndarray:
@@ -248,9 +278,9 @@ def _dense_lowest_weight_orbit(triple, z: PolarParam) -> np.ndarray:
 def _su11_closed_form_gap(z: PolarParam, two_k: Fraction, scale: float = 1.0) -> float:
     """Worst gap over the first 40 amplitudes between the closed form at
     scale |z| and the dense route at |z|.  The dense route is truncated 40
-    levels past su11_adequate_cutoff, which ignores the amplitudes'
-    polynomial prefactor: truncated there, it is off by up to 4e-10 at 2K = 4."""
-    spin = SpinK(two_k, Cutoff(su11_adequate_cutoff(z.modulus) + 40))
+    levels past su11_adequate_cutoff: truncated there, where the boundary
+    amplitude is just under 1e-10, it is off by up to 3e-11."""
+    spin = SpinK(two_k, Cutoff(su11_adequate_cutoff(z.modulus, float(two_k)) + 40))
     want = _dense_lowest_weight_orbit(su11_generators(spin), z)[:40]
     got = perelomov_su11(PolarParam.from_polar(scale * z.modulus, z.phase), spin)
     return float(np.abs(got.amplitudes[:40] - want).max())
