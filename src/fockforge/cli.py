@@ -36,6 +36,7 @@ from .lie import (
     schwinger_su2,
     schwinger_su11,
     single_mode_su11,
+    solve_each_chain_once,
     su2_generators,
     su11_generators,
     SpinJ,
@@ -563,19 +564,21 @@ def main(argv=None) -> int:
 
     try:
         config = _build_config(args)
-        if args.command == "verify-all":
-            return cmd_verify_all(config)
-        if args.command == "swap":
-            return cmd_swap(
-                config,
-                PolarParam.parse(args.a1),
-                PolarParam.parse(args.a2),
-                _finite_delta(args.delta),
-            )
-        if args.command == "clone":
-            return cmd_clone(config, PolarParam.parse(args.alpha), _finite_delta(args.delta))
-        if args.command == "sweep":
-            return cmd_sweep(config, args.check, _parse_values(args.values))
+        # a command's checks share each chain's eigensolve, and drop them on return
+        with solve_each_chain_once():
+            if args.command == "verify-all":
+                return cmd_verify_all(config)
+            if args.command == "swap":
+                return cmd_swap(
+                    config,
+                    PolarParam.parse(args.a1),
+                    PolarParam.parse(args.a2),
+                    _finite_delta(args.delta),
+                )
+            if args.command == "clone":
+                return cmd_clone(config, PolarParam.parse(args.alpha), _finite_delta(args.delta))
+            if args.command == "sweep":
+                return cmd_sweep(config, args.check, _parse_values(args.values))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

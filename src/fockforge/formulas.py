@@ -361,9 +361,12 @@ def check_phase_formula(
 
     tail_warning(alpha.modulus, cutoff, context="phase-rotated displacement")
 
-    v = phase_rotation(t, cutoff)
+    # reduce t to (-pi, pi] once, by PolarParam's rule, for both sides: the
+    # factors e^{i t n} of a raw t past about 1e15 lose the product t n
+    angle = PolarParam.from_polar(1.0, t).phase
+    v = phase_rotation(angle, cutoff)
     d = displacement(alpha, cutoff)
-    rotated = PolarParam.from_value(cmath.exp(1j * t) * alpha.value)
+    rotated = PolarParam.from_value(cmath.exp(1j * angle) * alpha.value)
     d_pred = displacement(rotated, cutoff)
     keep = safe_indices(cutoff, margin, modes=1)
 

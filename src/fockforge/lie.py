@@ -5,13 +5,16 @@ quadratic realization of su(1,1), all as dense matrices on truncated spaces,
 and the sector kernel that exponentiates these realizations one conserved
 chain at a time, whole, on a ket, or on the rows of a safe block.  The
 kernel also carries the Heisenberg-Weyl chain X+ = a†, whose exponential is
-the displacement D(alpha) = exp(alpha a† - conj(alpha) a).
+the displacement D(alpha) = exp(alpha a† - conj(alpha) a).  Inside
+``solve_each_chain_once`` every distinct chain is diagonalized once.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,6 +203,37 @@ def sector_chains(
         raise ValueError("the two-mode realizations are 'su2' and 'su11'")
 
 
+# ladder bytes -> read-only (mu, W) of that chain; None outside solve_each_chain_once
+_chain_solves: ContextVar[dict[bytes, tuple[np.ndarray, np.ndarray]] | None] = ContextVar(
+    "chain_solves", default=None
+)
+
+
+@contextmanager
+def solve_each_chain_once() -> Iterator[None]:
+    """Within this block, sector_blocks diagonalizes each distinct chain once
+    and shares its read-only (mu, W) between calls; on exit they are dropped.
+    A nested block shares the outer one's solves."""
+    outer = _chain_solves.get()
+    token = _chain_solves.set({} if outer is None else outer)
+    try:
+        yield
+    finally:
+        _chain_solves.reset(token)
+
+
+def _chain_eigensystem(ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, W) of the zero-diagonal symmetric tridiagonal matrix of ``ladder``."""
+    solves, key = _chain_solves.get(), ladder.tobytes()
+    if solves is not None and key in solves:
+        return solves[key]
+    mu, w = eigh_tridiagonal(np.zeros(ladder.size + 1), ladder)
+    if solves is not None:
+        mu.flags.writeable = w.flags.writeable = False
+        solves[key] = mu, w
+    return mu, w
+
+
 def sector_blocks(
     algebra: str,
     kappa: PolarParam,
@@ -231,7 +265,7 @@ def sector_blocks(
             ones = np.ones(size, dtype=complex)
             blocks.append(SectorBlock(index, ones, np.eye(size), ones))
             continue
-        mu, w = eigh_tridiagonal(np.zeros(size), ladder)
+        mu, w = _chain_eigensystem(ladder)
         # mu comes back ascending, so its largest modulus is max(-mu[0], mu[-1])
         phase_error = kappa.modulus * max(-mu[0], mu[-1]) * np.finfo(float).eps
         if phase_error > DEFAULT_TOLERANCES.identity_residual:

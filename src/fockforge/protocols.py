@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh
@@ -140,7 +141,8 @@ def full_swap(
 
     kappa = PolarParam.from_polar(math.pi / 2, delta)
     _, in_deficit, output, predicted, f = _beamsplitter_circuit(
-        "swap input", (alpha1, alpha2), kappa, (-delta, delta + math.pi), (alpha2, alpha1), cutoff
+        "swap input", (alpha1, alpha2), kappa, (-kappa.phase, kappa.phase + math.pi),
+        (alpha2, alpha1), cutoff,
     )
     residuals = {"input_truncation_deficit": in_deficit}
     params = (alpha1, alpha2, PolarParam.from_value(delta))
@@ -168,7 +170,7 @@ def imperfect_clone(
     half = PolarParam.from_value(alpha.value / math.sqrt(2))
     # the idle mode is amplitude 0, which coherent_with_deficit gives as exactly |0>
     _, in_deficit, output, predicted, f = _beamsplitter_circuit(
-        "clone input", (alpha, PolarParam.from_value(0)), kappa, (0.0, delta + math.pi),
+        "clone input", (alpha, PolarParam.from_value(0)), kappa, (0.0, kappa.phase + math.pi),
         (half, half), cutoff,
     )
 
@@ -183,6 +185,22 @@ def imperfect_clone(
     return TwoModeProtocolResult(output, predicted, f, ("beamsplitter", "phase_rotation"), report)
 
 
+def _pair_exponent(coeffs: dict[str, complex], cutoff: Cutoff) -> sparse.csr_array:
+    """The sparse exponent X of ``squeeze_pair_exponent_coefficients`` on the
+    box-truncated two-mode space.  Each term moves n1 + n2 by +-2, so X
+    keeps the parity of n1 + n2."""
+    a1, a2 = _two_mode_ladders(cutoff)
+    a1d, a2d = a1.conj().T, a2.conj().T
+    return (
+        coeffs["a1dag2"] * (a1d @ a1d)
+        + coeffs["a1sq"] * (a1 @ a1)
+        + coeffs["a2dag2"] * (a2d @ a2d)
+        + coeffs["a2sq"] * (a2 @ a2)
+        + coeffs["pair_create"] * (a1d @ a2d)
+        + coeffs["pair_destroy"] * (a1 @ a2)
+    )
+
+
 def _obstruction_blocks(
     coeffs: dict[str, complex],
     beta1: PolarParam,
@@ -194,22 +212,23 @@ def _obstruction_blocks(
     """Safe blocks of U (S1 S2) U†, exp(X) and S1 S2 at ``margin``.
 
     exp(X) pairs occupations up to the cutoff, so its safe columns come from
-    the sparse X on the whole truncated space.
+    the sparse X on the whole truncated space, exponentiated once per parity
+    sector of n1 + n2; the safe block has no entry between the two sectors.
     """
     keep, conjugated, pair = _conjugated_squeeze_pair(beta1, beta2, kappa, cutoff, margin)
-    a1, a2 = _two_mode_ladders(cutoff)
-    a1d, a2d = a1.conj().T, a2.conj().T
-    x = (
-        coeffs["a1dag2"] * (a1d @ a1d)
-        + coeffs["a1sq"] * (a1 @ a1)
-        + coeffs["a2dag2"] * (a2d @ a2d)
-        + coeffs["a2sq"] * (a2 @ a2)
-        + coeffs["pair_create"] * (a1d @ a2d)
-        + coeffs["pair_destroy"] * (a1 @ a2)
-    )
-    columns = np.zeros((x.shape[0], keep.size), dtype=complex)
-    columns[keep, np.arange(keep.size)] = 1.0
-    exp_x = expm_multiply(x, columns)[keep]
+    x = _pair_exponent(coeffs, cutoff)
+    flat = np.arange(x.shape[0])
+    parity = (flat // cutoff.dim + flat % cutoff.dim) % 2
+    exp_x = np.zeros((keep.size, keep.size), dtype=complex)
+    for p in (0, 1):
+        sector = np.nonzero(parity == p)[0]
+        safe = np.nonzero(parity[keep] == p)[0]  # positions in keep
+        if safe.size == 0:
+            continue
+        rows = np.searchsorted(sector, keep[safe])  # the safe indices' places in the sector
+        columns = np.zeros((sector.size, safe.size), dtype=complex)
+        columns[rows, np.arange(safe.size)] = 1.0
+        exp_x[np.ix_(safe, safe)] = expm_multiply(x[sector][:, sector], columns)[rows]
     return conjugated, exp_x, pair
 
 

@@ -94,6 +94,23 @@ class TestConfigValidation:
         assert err.startswith("error: ") and "non-finite" in err
 
 
+@pytest.mark.parametrize("angle", ["1e6", "1e15", "1e300"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["swap", "--a1", "1,0", "--a2", "0,1", "--delta"],
+        ["clone", "--alpha", "1,0", "--delta"],
+        ["sweep", "--check", "check_phase_formula", "--values"],
+    ],
+    ids=["swap", "clone", "phase_formula"],
+)
+def test_large_finite_angle_passes(argv, angle, capsys):
+    # a true identity holds at every finite angle
+    code, out, err = run([*argv, angle], capsys)
+    assert code == 0, out + err
+    assert err == ""
+
+
 class TestSwapCommand:
     def test_basic_swap_passes(self, capsys):
         code, out, _ = run(["swap", "--a1", "1,0", "--a2", "0,1"], capsys)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as dense_expm
 
+import fockforge.lie
 from fockforge import (
     Cutoff,
     Ket,
@@ -23,10 +24,17 @@ from fockforge import (
     su11_generators,
     two_mode_squeezer_UK,
 )
-from fockforge.cli import RunConfig, _lie_reports
+from fockforge.cli import RunConfig, _lie_reports, main
 from fockforge.config import COSH_GUARD, DEFAULT_TOLERANCES, TAIL_BOUND
 from fockforge.fock import annihilation, poisson_tail, safe_indices
-from fockforge.lie import apply_sectors, safe_rows, sector_blocks, sector_chains, sector_operator
+from fockforge.lie import (
+    apply_sectors,
+    safe_rows,
+    sector_blocks,
+    sector_chains,
+    sector_operator,
+    solve_each_chain_once,
+)
 from fockforge.states import coherent_series, vacuum
 from test_acceptance import _closure
 
@@ -505,3 +513,69 @@ class TestLieTriple:
                 Operator(np.eye(4, dtype=complex), 1, cut),
                 "su2",
             )
+
+
+class TestChainSolves:
+    """Inside solve_each_chain_once, sector_blocks diagonalizes each distinct
+    chain once; outside it, every call solves afresh, as before."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        ladders = []
+        real = fockforge.lie.eigh_tridiagonal
+
+        def counted(diagonal, ladder):
+            ladders.append(ladder.tobytes())
+            return real(diagonal, ladder)
+
+        monkeypatch.setattr(fockforge.lie, "eigh_tridiagonal", counted)
+        return ladders
+
+    def test_each_distinct_chain_solved_once(self, solves):
+        kappa = PolarParam.from_polar(0.7, 0.4)
+        c8, c11 = Cutoff(8), Cutoff(11)
+        with solve_each_chain_once():
+            apply_sectors("su2", kappa, vacuum(c8, modes=2))
+            apply_sectors("su2", PolarParam.from_polar(1.3, -2.0), vacuum(c8, modes=2))
+            apply_sectors("su2", kappa, vacuum(c11, modes=2))
+        distinct = {ladder.tobytes() for c in (c8, c11) for *_, ladder in sector_chains("su2", c)}
+        assert sorted(solves) == sorted(distinct)
+        assert fockforge.lie._chain_solves.get() is None
+        before = len(solves)
+        apply_sectors("su2", kappa, vacuum(c8, modes=2))
+        assert len(solves) - before == len(list(sector_chains("su2", c8)))
+
+    @pytest.mark.parametrize("algebra, modes", [("hw", 1), ("su11", 1), ("su2", 2), ("su11", 2)])
+    def test_blocks_equal_inside_and_outside(self, algebra, modes):
+        kappa, cut = PolarParam.from_polar(0.6, 1.1), Cutoff(9)
+        outside = sector_blocks(algebra, kappa, cut, modes)
+        with solve_each_chain_once():
+            sector_blocks(algebra, PolarParam.from_polar(0.2, -0.5), cut, modes)
+            inside = sector_blocks(algebra, kappa, cut, modes)
+        assert len(inside) == len(outside)
+        for mine, ref in zip(inside, outside):
+            for field in ("index", "phase", "vectors", "spectrum"):
+                np.testing.assert_array_equal(getattr(mine, field), getattr(ref, field))
+
+    def test_shared_vectors_are_read_only(self):
+        with solve_each_chain_once():
+            (block,) = sector_blocks("hw", PolarParam.from_value(0.5), Cutoff(6), modes=1)
+            with pytest.raises(ValueError, match="read-only"):
+                block.vectors[0, 0] = 0.0
+        (block,) = sector_blocks("hw", PolarParam.from_value(0.5), Cutoff(6), modes=1)
+        block.vectors[0, 0] = 0.0  # a solve outside the scope is the caller's own
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # n_max 12 is too small for some checks: they warn, exit 1
+            (["verify-all", "--seed", "3", "--nmax", "12"], 1),
+            # the phase-resolution guard raises inside the command: exit 2
+            (["sweep", "--check", "check_J_rotation", "--values", "0.5,1e12"], 2),
+        ],
+    )
+    def test_command_leaves_no_solves_behind(self, argv, code, solves, capsys):
+        assert main(argv) == code
+        capsys.readouterr()
+        assert len(solves) == len(set(solves))  # the command's checks shared their solves
+        assert fockforge.lie._chain_solves.get() is None

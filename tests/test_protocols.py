@@ -35,7 +35,7 @@ from fockforge import (
 from fockforge.fock import safe_indices
 from fockforge.formulas import _hyperbolic_margin, squeeze_pair_exponent_coefficients
 from fockforge.lie import apply_sectors
-from fockforge.protocols import _obstruction_blocks
+from fockforge.protocols import _obstruction_blocks, _pair_exponent
 
 RNG = np.random.default_rng(31)
 
@@ -253,6 +253,40 @@ class TestSharedCircuit:
         assert imperfect_clone(alpha, delta=-0.6).report.passed
 
 
+class TestLargeAngles:
+    """A finite angle of any size is reduced to (-pi, pi] once, and that one
+    reduced angle enters both the simulated circuit and the prediction."""
+
+    ANGLES = (1e6, 1e15, 1e300)
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_swap_matches_the_reduced_angle(self, angle):
+        a1, a2 = PolarParam.from_value(1.0), PolarParam.from_value(1j)
+        res = full_swap(a1, a2, angle)
+        assert res.report.passed
+        assert res.fidelity >= 1 - 1e-12
+        reduced = full_swap(a1, a2, math.remainder(angle, 2 * math.pi))
+        np.testing.assert_array_equal(res.output.amplitudes, reduced.output.amplitudes)
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_clone_matches_the_reduced_angle(self, angle):
+        alpha = PolarParam.from_value(1.0)
+        res = imperfect_clone(alpha, delta=angle)
+        assert res.report.passed
+        assert res.fidelity >= 1 - 1e-12
+        reduced = imperfect_clone(alpha, delta=math.remainder(angle, 2 * math.pi))
+        np.testing.assert_array_equal(res.output.amplitudes, reduced.output.amplitudes)
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_phase_formula_at_the_reduced_angle(self, angle):
+        alpha = PolarParam.from_value(1.0)
+        rep = check_phase_formula(angle, alpha)
+        assert rep.passed
+        reduced = check_phase_formula(math.remainder(angle, 2 * math.pi), alpha)
+        assert rep.residuals == reduced.residuals
+        assert rep.fidelities == reduced.fidelities
+
+
 class TestCutoffWarnings:
     # the library's only channel for an inadequate cutoff is a CutoffWarning
     @pytest.mark.parametrize(
@@ -345,7 +379,8 @@ class TestObstruction:
         assert "invariance" in rep.unasserted
         assert rep.residuals["invariance"] > 1e-3  # something really changed
 
-    @pytest.mark.parametrize("margin", [None, 0])
+    # margin 14 = n_max leaves the safe block {|0,0>}: the odd sector has no safe column
+    @pytest.mark.parametrize("margin", [None, 0, 14])
     @pytest.mark.parametrize(
         "beta1,beta2,kappa",
         [
@@ -396,6 +431,22 @@ class TestObstruction:
         }
         for key, value in ref_residuals.items():
             assert abs(rep.residuals[key] - value) <= 1e-12
+
+    @pytest.mark.parametrize("n_max", [2, 6, 15])
+    def test_exponent_keeps_total_parity(self, n_max):
+        # exp(X) is taken per parity sector of n1 + n2; that needs X to have
+        # no entry between the sectors, for any coefficients
+        rng = np.random.default_rng(n_max)
+        keys = ("a1dag2", "a1sq", "a2dag2", "a2sq", "pair_create", "pair_destroy")
+        coeffs = {k: complex(*rng.standard_normal(2)) for k in keys}
+        cut = Cutoff(n_max)
+        x = _pair_exponent(coeffs, cut).toarray()
+        flat = np.arange(cut.dim ** 2)
+        odd = (flat // cut.dim + flat % cut.dim) % 2 == 1
+        assert np.count_nonzero(x[np.ix_(odd, ~odd)]) == 0
+        assert np.count_nonzero(x[np.ix_(~odd, odd)]) == 0
+        assert np.count_nonzero(x[np.ix_(odd, odd)]) > 0
+        assert np.count_nonzero(x[np.ix_(~odd, ~odd)]) > 0
 
     def test_guard(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,10 @@ COMMANDS = (
         ["swap", "--a1", "1e20,0", "--a2", "0,1"],
         ["clone", "--alpha", "1e150,0", "--nmax", "10"],
         ["sweep", "--check", "check_J_rotation", "--values", "1e6,1e9,1e12", "--format", "csv"],
+        # large finite angles, reduced to (-pi, pi] before any phase is formed: exit 0
+        ["swap", "--a1", "1,0", "--a2", "0,1", "--delta", "1e15"],
+        ["clone", "--alpha", "1,0", "--delta", "1e300"],
+        ["sweep", "--check", "check_phase_formula", "--values", "1e300"],
     ]
 )
 
