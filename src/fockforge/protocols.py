@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh
 from .fock import Cutoff, Ket, PolarParam, tail_warning, tensor_ket
@@ -201,6 +200,94 @@ def _pair_exponent(coeffs: dict[str, complex], cutoff: Cutoff) -> sparse.csr_arr
     )
 
 
+# the series stops once its truncation error on a unit column is below this
+SERIES_TAIL = np.finfo(float).eps
+
+
+def _bessel_tail(radius: float, order: int) -> float:
+    """Upper bound on 2 sum_{k>order} |J_k(R)| for order > R.
+
+    Kapteyn's inequality (DLMF 10.14.5) bounds |J_k(R)| by (rho e^s)^k, with
+    z = R/k, s = sqrt(1 - z^2) and rho = z / (1 + s).  The log of that bound
+    is concave in k with slope log(rho), so each later order shrinks it by at
+    least the factor rho taken at ``order``.
+    """
+    z = radius / order
+    s = math.sqrt(1.0 - z * z)
+    rho = z / (1.0 + s)
+    return 2.0 * (rho * math.exp(s)) ** order * rho / (1.0 - rho)
+
+
+def _bessel_weights(radius: float) -> np.ndarray:
+    """Weights J_0(R), 2 J_1(R), ..., 2 J_K(R) of the Chebyshev series of
+    exp(X) for ||X|| <= R, with K the first order past R whose tail is at
+    most ``SERIES_TAIL``.
+
+    The J_k come from Miller's backward recurrence
+    J_{k-1} = (2k/R) J_k - J_{k+1}, started at K and normalized by
+    J_0 + 2 sum_k J_{2k} = 1; the start leaves an error of order J_{K+1}(R),
+    below the tail, in each weight.  special.jv is off by up to 1e-14 near
+    k = R at R = 120, which the sum of the series would carry.
+    """
+    order = math.floor(radius) + 1
+    while _bessel_tail(radius, order) > SERIES_TAIL:
+        order += 1
+    j = np.zeros(order + 2)
+    j[order] = 1.0
+    for k in range(order, 0, -1):
+        j[k - 1] = (2 * k / radius) * j[k] - j[k + 1]
+    weights = 2.0 * j[: order + 1] / (j[0] + 2.0 * j[2::2].sum())
+    weights[0] /= 2.0
+    return weights
+
+
+def _shell_exponential(x: sparse.csr_array, cutoff: Cutoff, keep: np.ndarray) -> np.ndarray:
+    """Safe block of exp(X), on the indices ``keep``, as the Chebyshev series
+    of Tal-Ezer and Kosloff (1984): exp(X) = J_0(R) w_0 + 2 sum_k J_k(R) w_k
+    with w_0 = 1, w_1 = X/R and w_{k+1} = (2/R) X w_k + w_{k-1}, so that
+    w_k = (-i)^k T_k(iX/R).  X is anti-Hermitian and R = ||X||_1, its largest
+    column sum, bounds its spectral radius, so every w_k has norm <= 1.
+
+    Every term of X moves N = n1 + n2 by +-2, so X joins the shell class
+    N = q (mod 4) only to q + 2: columns starting on class q sit on q at even
+    orders and on q + 2 at odd ones, and each step is one product with the
+    block of X between the two classes.  A class with no safe column is skipped.
+    """
+    exp_x = np.zeros((keep.size, keep.size), dtype=complex)
+    radius = float(abs(x).sum(axis=0).max())
+    if radius < np.finfo(float).tiny:  # X = 0, or every entry below 1e-308: exp(X) = 1
+        np.fill_diagonal(exp_x, 1.0)
+        return exp_x
+    weights = _bessel_weights(radius)
+    flat = np.arange(x.shape[0])
+    shell = (flat // cutoff.dim + flat % cutoff.dim) % 4
+    for q in range(4):
+        home, away = np.nonzero(shell == q)[0], np.nonzero(shell == (q + 2) % 4)[0]
+        safe_home = np.nonzero(shell[keep] == q)[0]  # positions in keep
+        if safe_home.size == 0:
+            continue
+        safe_away = np.nonzero(shell[keep] == (q + 2) % 4)[0]
+        outward = (2.0 / radius) * x[away][:, home].tocsr()
+        inward = (2.0 / radius) * x[home][:, away].tocsr()
+        rows_home = np.searchsorted(home, keep[safe_home])  # places in the class
+        rows_away = np.searchsorted(away, keep[safe_away])
+        w_home = np.zeros((home.size, safe_home.size), dtype=complex)
+        w_home[rows_home, np.arange(safe_home.size)] = 1.0
+        w_away = 0.5 * (outward @ w_home)
+        sum_home = weights[0] * w_home[rows_home]
+        sum_away = weights[1] * w_away[rows_away]
+        for k in range(2, weights.size):
+            if k % 2 == 0:
+                w_home += inward @ w_away
+                sum_home += weights[k] * w_home[rows_home]
+            else:
+                w_away += outward @ w_home
+                sum_away += weights[k] * w_away[rows_away]
+        exp_x[np.ix_(safe_home, safe_home)] = sum_home
+        exp_x[np.ix_(safe_away, safe_home)] = sum_away
+    return exp_x
+
+
 def _obstruction_blocks(
     coeffs: dict[str, complex],
     beta1: PolarParam,
@@ -212,24 +299,14 @@ def _obstruction_blocks(
     """Safe blocks of U (S1 S2) U†, exp(X) and S1 S2 at ``margin``.
 
     exp(X) pairs occupations up to the cutoff, so its safe columns come from
-    the sparse X on the whole truncated space, exponentiated once per parity
-    sector of n1 + n2; the safe block has no entry between the two sectors.
+    the sparse X on the whole truncated space, as a Chebyshev series in X/R
+    at R = ||X||_1, which bounds the spectral radius.  It runs once per shell
+    class N = n1 + n2 (mod 4) that holds a safe column and stops at the first
+    order past R whose Bessel tail is below machine epsilon
+    (``_shell_exponential``).
     """
     keep, conjugated, pair = _conjugated_squeeze_pair(beta1, beta2, kappa, cutoff, margin)
-    x = _pair_exponent(coeffs, cutoff)
-    flat = np.arange(x.shape[0])
-    parity = (flat // cutoff.dim + flat % cutoff.dim) % 2
-    exp_x = np.zeros((keep.size, keep.size), dtype=complex)
-    for p in (0, 1):
-        sector = np.nonzero(parity == p)[0]
-        safe = np.nonzero(parity[keep] == p)[0]  # positions in keep
-        if safe.size == 0:
-            continue
-        rows = np.searchsorted(sector, keep[safe])  # the safe indices' places in the sector
-        columns = np.zeros((sector.size, safe.size), dtype=complex)
-        columns[rows, np.arange(safe.size)] = 1.0
-        exp_x[np.ix_(safe, safe)] = expm_multiply(x[sector][:, sector], columns)[rows]
-    return conjugated, exp_x, pair
+    return conjugated, _shell_exponential(_pair_exponent(coeffs, cutoff), cutoff, keep), pair
 
 
 def squeezed_swap_obstruction(

@@ -202,6 +202,15 @@ class TestSweepCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "a float cannot resolve the chain phases" in err
 
+    def test_obstruction_past_float_resolution_is_config_error(self, capsys):
+        # 1e6 runs; at 1e15 the su(2) chain phases stop the sweep and no body is printed
+        argv = ["sweep", "--check", "squeezed_swap_obstruction", "--values", "1e6,1e15"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "a float cannot resolve the chain phases" in err
+
     def test_large_amplitude_within_float_resolution_runs(self, capsys):
         argv = ["sweep", "--check", "check_J_rotation", "--values", "1e5,1e6", "--format", "csv"]
         code, out, _ = run(argv, capsys)

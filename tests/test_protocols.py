@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special
 from scipy.linalg import expm as dense_expm
 
 import fockforge.protocols
@@ -32,10 +35,17 @@ from fockforge import (
     two_mode_squeezer_UK,
     vacuum,
 )
+from fockforge.config import COSH_GUARD
 from fockforge.fock import safe_indices
 from fockforge.formulas import _hyperbolic_margin, squeeze_pair_exponent_coefficients
 from fockforge.lie import apply_sectors
-from fockforge.protocols import _obstruction_blocks, _pair_exponent
+from fockforge.protocols import (
+    SERIES_TAIL,
+    _bessel_tail,
+    _bessel_weights,
+    _obstruction_blocks,
+    _pair_exponent,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -455,6 +465,120 @@ class TestObstruction:
                 PolarParam.from_value(0.1),
                 PolarParam.from_value(0.3),
             )
+
+
+def polar(top):
+    return st.builds(PolarParam.from_polar, st.floats(0.0, top), st.floats(-math.pi, math.pi))
+
+
+def dense_exp_block(coeffs, cut, margin):
+    # one dense expm of X on the whole d^2 space, sliced to the safe block
+    keep = safe_indices(cut, margin, modes=2)
+    return dense_expm(_pair_exponent(coeffs, cut).toarray())[np.ix_(keep, keep)]
+
+
+class TestChebyshevExponential:
+    BETA_TOP = math.acosh(COSH_GUARD) - 1e-12
+    GENERIC = (
+        PolarParam.from_value(0.3 + 0.1j),
+        PolarParam.from_value(-0.2 + 0.25j),
+        PolarParam.from_polar(0.7, -1.2),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        polar(BETA_TOP),
+        polar(BETA_TOP),
+        polar(2 * math.pi),
+        st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    )
+    # margin = n_max: the safe block is the vacuum, so classes 1, 2 and 3 have no safe column
+    @example(*GENERIC, (12, 12))
+    @example(PolarParam.from_value(BETA_TOP), PolarParam.from_polar(BETA_TOP, 2.0),
+             PolarParam.from_polar(1.3, 0.4), (12, 0))
+    def test_series_matches_dense_exponential(self, beta1, beta2, kappa, sizes):
+        n_max, margin = sizes
+        cut = Cutoff(n_max)
+        coeffs = squeeze_pair_exponent_coefficients(beta1.value, beta2.value, kappa.value)
+        _, exp_x, _ = _obstruction_blocks(coeffs, beta1, beta2, kappa, cut, margin)
+        assert np.abs(exp_x - dense_exp_block(coeffs, cut, margin)).max() <= 1e-12
+
+    @pytest.mark.parametrize("margin", [0, 6])
+    def test_series_cut_at_half_the_radius_misses(self, margin, monkeypatch):
+        # control: the dense comparison catches a series stopped at k = R/2.
+        # Halving R itself is no control: the spectral radius is 0.56-0.85 R
+        # here, and outside [-1, 1] T_k grows only enough to lift the dropped
+        # tail to 1e-13-1e-7 on these columns.
+        cut = Cutoff(12)
+        beta1, beta2, kappa = self.GENERIC
+        coeffs = squeeze_pair_exponent_coefficients(beta1.value, beta2.value, kappa.value)
+        weights = fockforge.protocols._bessel_weights
+        monkeypatch.setattr(
+            fockforge.protocols, "_bessel_weights", lambda r: weights(r)[: math.floor(r / 2) + 1]
+        )
+        _, exp_x, _ = _obstruction_blocks(coeffs, beta1, beta2, kappa, cut, margin)
+        assert np.abs(exp_x - dense_exp_block(coeffs, cut, margin)).max() > 1e-6
+
+    @pytest.mark.parametrize("n_max", [2, 6, 15])
+    def test_exponent_joins_shell_classes_two_apart(self, n_max):
+        # the series runs class by class (N = n1 + n2 mod 4) and stops at R = ||X||_1
+        rng = np.random.default_rng(100 + n_max)
+        keys = ("a1dag2", "a1sq", "a2dag2", "a2sq", "pair_create", "pair_destroy")
+        coeffs = {k: complex(*rng.standard_normal(2)) for k in keys}
+        cut = Cutoff(n_max)
+        flat = np.arange(cut.dim ** 2)
+        shell = (flat // cut.dim + flat % cut.dim) % 4
+        rows, cols = np.nonzero(_pair_exponent(coeffs, cut).toarray())
+        assert rows.size > 0
+        assert np.all(shell[rows] == (shell[cols] + 2) % 4)
+
+        b1, b2, kappa = (complex(*rng.standard_normal(2)) for _ in range(3))
+        x = _pair_exponent(squeeze_pair_exponent_coefficients(b1, b2, kappa), cut).toarray()
+        np.testing.assert_allclose(x, -x.conj().T, rtol=0, atol=1e-15)
+        radius = np.abs(x).sum(axis=0).max()
+        # the slack only absorbs eigvalsh's rounding where the two are equal (n_max 2)
+        assert radius * (1 + 1e-12) >= np.abs(np.linalg.eigvalsh(1j * x)).max()
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.5, 3.0, 23.1, 49.3, 120.0, 400.0])
+    def test_bessel_tail_bounds_and_weights(self, radius):
+        weights = _bessel_weights(radius)
+        order = weights.size - 1
+        assert order > radius and _bessel_tail(radius, order) <= SERIES_TAIL
+        assert order - 1 <= radius or _bessel_tail(radius, order - 1) > SERIES_TAIL
+        j = special.jv(np.arange(order + 400), radius)
+        for k in range(math.floor(radius) + 1, order + 5):
+            assert _bessel_tail(radius, k) >= 2 * np.abs(j[k + 1:]).sum()
+        # the weights are those of exp(-i R y) = sum_k weights_k (-i)^k T_k(y) on [-1, 1];
+        # special.jv's weights miss this by 6e-14 at R = 120 and 3e-13 at R = 400
+        y = np.linspace(-1, 1, 2001)
+        cycle = np.array([1, -1j, -1, 1j])[np.arange(order + 1) % 4]
+        series = np.polynomial.chebyshev.chebval(y, weights * cycle)
+        assert np.abs(series - np.exp(-1j * radius * y)).max() <= 2e-16 * radius + 1e-15
+
+    def test_zero_and_subnormal_exponents(self):
+        zero = PolarParam.from_value(0)
+        kappa = PolarParam.from_polar(0.4, 0.3)
+        coeffs = squeeze_pair_exponent_coefficients(0j, 0j, kappa.value)
+        _, exp_x, _ = _obstruction_blocks(coeffs, zero, zero, kappa, Cutoff(10), 3)
+        np.testing.assert_array_equal(exp_x, np.eye(exp_x.shape[0]))
+        # S1(0) S2(0) is the identity too, so both residuals measure U's safe block alone
+        rep = squeezed_swap_obstruction(zero, zero, kappa)
+        assert rep.residuals["exponent_match"] == rep.residuals["invariance"]
+        assert rep.residuals["exponent_match"] <= 1e-13
+        assert rep.passed
+        # entries below 1e-308: 2/R would overflow, exp(X) is the identity
+        tiny = PolarParam.from_value(1e-310)
+        rep = squeezed_swap_obstruction(tiny, tiny, kappa)
+        assert rep.residuals["exponent_match"] <= 1e-13
+        assert rep.passed
+
+    def test_vacuum_block_at_full_margin(self):
+        beta1, beta2, kappa = self.GENERIC
+        n_max = fockforge.protocols.OBSTRUCTION_CUTOFF.n_max
+        rep = squeezed_swap_obstruction(beta1, beta2, kappa, margin=n_max)
+        assert rep.margin == n_max
+        assert rep.residuals["exponent_match"] <= 1e-13
+        assert rep.passed
 
 
 class TestResultSerialization:
