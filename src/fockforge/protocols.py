@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh
 from .fock import Cutoff, Ket, PolarParam, tail_warning, tensor_ket
@@ -15,7 +14,6 @@ from .formulas import (
     _conjugated_squeeze_pair,
     _hyperbolic_margin,
     _sinc,
-    _two_mode_ladders,
     squeeze_pair_exponent_coefficients,
 )
 # beamsplitter_UJ is bound here only because perfbench/run.py wraps protocols.beamsplitter_UJ
@@ -184,108 +182,53 @@ def imperfect_clone(
     return TwoModeProtocolResult(output, predicted, f, ("beamsplitter", "phase_rotation"), report)
 
 
-def _pair_exponent(coeffs: dict[str, complex], cutoff: Cutoff) -> sparse.csr_array:
-    """The sparse exponent X of ``squeeze_pair_exponent_coefficients`` on the
-    box-truncated two-mode space.  Each term moves n1 + n2 by +-2, so X
-    keeps the parity of n1 + n2."""
-    a1, a2 = _two_mode_ladders(cutoff)
-    a1d, a2d = a1.conj().T, a2.conj().T
-    return (
-        coeffs["a1dag2"] * (a1d @ a1d)
-        + coeffs["a1sq"] * (a1 @ a1)
-        + coeffs["a2dag2"] * (a2d @ a2d)
-        + coeffs["a2sq"] * (a2 @ a2)
-        + coeffs["pair_create"] * (a1d @ a2d)
-        + coeffs["pair_destroy"] * (a1 @ a2)
-    )
+def _gaussian_exponential(
+    coeffs: dict[str, complex], cutoff: Cutoff, keep: np.ndarray
+) -> np.ndarray:
+    """Safe block of exp(X), on the indices ``keep``, with no truncation, for
+    the exponent X of ``squeeze_pair_exponent_coefficients``.
 
+    X = (a†ᵀ A a† - aᵀ conj(A) a) / 2 has only pair terms, so exp(X) is a
+    two-mode Gaussian; X is anti-Hermitian, so its creation terms, which give
+    A, fix it.  With A A† = Q diag(s²) Q†, its normal-ordered form
+    (Ma and Rhodes, Phys. Rev. A 41, 4625 (1990)) gives, at x = (conj(z), w),
 
-# the series stops once its truncation error on a unit column is below this
-SERIES_TAIL = np.finfo(float).eps
+        <0| e^{conj(z)·a} exp(X) e^{w·a†} |0> = C exp(xᵀ R x / 2),
+        R = [[T, P], [Pᵀ, -conj(T)]],  T = Q diag(tanh s / s) Q† A,
+        P = Q diag(sech s) Q†,  C = prod sech(s)^(1/2).
 
-
-def _bessel_tail(radius: float, order: int) -> float:
-    """Upper bound on 2 sum_{k>order} |J_k(R)| for order > R.
-
-    Kapteyn's inequality (DLMF 10.14.5) bounds |J_k(R)| by (rho e^s)^k, with
-    z = R/k, s = sqrt(1 - z^2) and rho = z / (1 + s).  The log of that bound
-    is concave in k with slope log(rho), so each later order shrinks it by at
-    least the factor rho taken at ``order``.
+    The Fock entries G_k = <m1, m2|exp(X)|n1, n2>, k = (m1, m2, n1, n2), are
+    its Taylor coefficients times sqrt(k!), so they obey
+    G_{k+e_i} = sum_j R_ij sqrt(k_j) G_{k-e_j} / sqrt(k_i + 1) (Miatto and
+    Quesada, Quantum 4, 366 (2020)), filled one axis at a time up to the
+    largest safe occupation.  Every G_k is an entry of a unitary, so none
+    exceeds one, and X = 0 gives the identity block exactly.
     """
-    z = radius / order
-    s = math.sqrt(1.0 - z * z)
-    rho = z / (1.0 + s)
-    return 2.0 * (rho * math.exp(s)) ** order * rho / (1.0 - rho)
+    pair = coeffs["pair_create"]
+    a = np.array([[2 * coeffs["a1dag2"], pair], [pair, 2 * coeffs["a2dag2"]]])
+    s2, q = np.linalg.eigh(a @ a.conj().T)
+    s = np.sqrt(np.maximum(s2, 0.0))
+    shrink = np.ones_like(s)  # tanh(s) / s, which is 1 at s = 0
+    np.divide(np.tanh(s), s, out=shrink, where=s > 0)
+    t = (q * shrink) @ q.conj().T @ a
+    p = (q / np.cosh(s)) @ q.conj().T
+    r = np.block([[t, p], [p.T, -t.conj()]])
 
-
-def _bessel_weights(radius: float) -> np.ndarray:
-    """Weights J_0(R), 2 J_1(R), ..., 2 J_K(R) of the Chebyshev series of
-    exp(X) for ||X|| <= R, with K the first order past R whose tail is at
-    most ``SERIES_TAIL``.
-
-    The J_k come from Miller's backward recurrence
-    J_{k-1} = (2k/R) J_k - J_{k+1}, started at K and normalized by
-    J_0 + 2 sum_k J_{2k} = 1; the start leaves an error of order J_{K+1}(R),
-    below the tail, in each weight.  special.jv is off by up to 1e-14 near
-    k = R at R = 120, which the sum of the series would carry.
-    """
-    order = math.floor(radius) + 1
-    while _bessel_tail(radius, order) > SERIES_TAIL:
-        order += 1
-    j = np.zeros(order + 2)
-    j[order] = 1.0
-    for k in range(order, 0, -1):
-        j[k - 1] = (2 * k / radius) * j[k] - j[k + 1]
-    weights = 2.0 * j[: order + 1] / (j[0] + 2.0 * j[2::2].sum())
-    weights[0] /= 2.0
-    return weights
-
-
-def _shell_exponential(x: sparse.csr_array, cutoff: Cutoff, keep: np.ndarray) -> np.ndarray:
-    """Safe block of exp(X), on the indices ``keep``, as the Chebyshev series
-    of Tal-Ezer and Kosloff (1984): exp(X) = J_0(R) w_0 + 2 sum_k J_k(R) w_k
-    with w_0 = 1, w_1 = X/R and w_{k+1} = (2/R) X w_k + w_{k-1}, so that
-    w_k = (-i)^k T_k(iX/R).  X is anti-Hermitian and R = ||X||_1, its largest
-    column sum, bounds its spectral radius, so every w_k has norm <= 1.
-
-    Every term of X moves N = n1 + n2 by +-2, so X joins the shell class
-    N = q (mod 4) only to q + 2: columns starting on class q sit on q at even
-    orders and on q + 2 at odd ones, and each step is one product with the
-    block of X between the two classes.  A class with no safe column is skipped.
-    """
-    exp_x = np.zeros((keep.size, keep.size), dtype=complex)
-    radius = float(abs(x).sum(axis=0).max())
-    if radius < np.finfo(float).tiny:  # X = 0, or every entry below 1e-308: exp(X) = 1
-        np.fill_diagonal(exp_x, 1.0)
-        return exp_x
-    weights = _bessel_weights(radius)
-    flat = np.arange(x.shape[0])
-    shell = (flat // cutoff.dim + flat % cutoff.dim) % 4
-    for q in range(4):
-        home, away = np.nonzero(shell == q)[0], np.nonzero(shell == (q + 2) % 4)[0]
-        safe_home = np.nonzero(shell[keep] == q)[0]  # positions in keep
-        if safe_home.size == 0:
-            continue
-        safe_away = np.nonzero(shell[keep] == (q + 2) % 4)[0]
-        outward = (2.0 / radius) * x[away][:, home].tocsr()
-        inward = (2.0 / radius) * x[home][:, away].tocsr()
-        rows_home = np.searchsorted(home, keep[safe_home])  # places in the class
-        rows_away = np.searchsorted(away, keep[safe_away])
-        w_home = np.zeros((home.size, safe_home.size), dtype=complex)
-        w_home[rows_home, np.arange(safe_home.size)] = 1.0
-        w_away = 0.5 * (outward @ w_home)
-        sum_home = weights[0] * w_home[rows_home]
-        sum_away = weights[1] * w_away[rows_away]
-        for k in range(2, weights.size):
-            if k % 2 == 0:
-                w_home += inward @ w_away
-                sum_home += weights[k] * w_home[rows_home]
-            else:
-                w_away += outward @ w_home
-                sum_away += weights[k] * w_away[rows_away]
-        exp_x[np.ix_(safe_home, safe_home)] = sum_home
-        exp_x[np.ix_(safe_away, safe_home)] = sum_away
-    return exp_x
+    i1, i2 = np.divmod(keep, cutoff.dim)
+    size = int(i1.max()) + 1
+    root = np.sqrt(np.arange(size))
+    g = np.zeros((size,) * 4, dtype=complex)
+    g[0, 0, 0, 0] = np.prod(1.0 / np.cosh(s)) ** 0.5
+    for i in range(4):  # fill axis i: the axes before it are full, those after it at 0
+        lead, rest = (slice(None),) * i, (0,) * (3 - i)
+        column = root[1:].reshape((-1,) + (1,) * (i - 1))  # sqrt(k_j) along a slab axis
+        for k in range(size - 1):
+            slab = g[lead + (k,) + rest]
+            step = r[i, i] * root[k] * g[lead + (k - 1,) + rest] if k else np.zeros_like(slab)
+            for j in range(i):  # R_ij sqrt(k_j) G_{k-e_j}, from this slab
+                np.moveaxis(step, j, 0)[1:] += r[i, j] * (column * np.moveaxis(slab, j, 0)[:-1])
+            g[lead + (k + 1,) + rest] = step / root[k + 1]
+    return g[i1[:, None], i2[:, None], i1, i2]
 
 
 def _obstruction_blocks(
@@ -298,15 +241,12 @@ def _obstruction_blocks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Safe blocks of U (S1 S2) U†, exp(X) and S1 S2 at ``margin``.
 
-    exp(X) pairs occupations up to the cutoff, so its safe columns come from
-    the sparse X on the whole truncated space, as a Chebyshev series in X/R
-    at R = ||X||_1, which bounds the spectral radius.  It runs once per shell
-    class N = n1 + n2 (mod 4) that holds a safe column and stops at the first
-    order past R whose Bessel tail is below machine epsilon
-    (``_shell_exponential``).
+    exp(X) is exact (``_gaussian_exponential``), while the conjugated pair is
+    built on the truncated space, so the first two blocks differ only by the
+    truncation of the conjugated side.
     """
     keep, conjugated, pair = _conjugated_squeeze_pair(beta1, beta2, kappa, cutoff, margin)
-    return conjugated, _shell_exponential(_pair_exponent(coeffs, cutoff), cutoff, keep), pair
+    return conjugated, _gaussian_exponential(coeffs, cutoff, keep), pair
 
 
 def squeezed_swap_obstruction(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
 from scipy.linalg import expm as dense_expm
 
 import fockforge.protocols
@@ -39,13 +38,7 @@ from fockforge.config import COSH_GUARD
 from fockforge.fock import safe_indices
 from fockforge.formulas import _hyperbolic_margin, squeeze_pair_exponent_coefficients
 from fockforge.lie import apply_sectors
-from fockforge.protocols import (
-    SERIES_TAIL,
-    _bessel_tail,
-    _bessel_weights,
-    _obstruction_blocks,
-    _pair_exponent,
-)
+from fockforge.protocols import _gaussian_exponential, _obstruction_blocks
 
 RNG = np.random.default_rng(31)
 
@@ -356,6 +349,35 @@ class TestLargeAmplitude:
         np.testing.assert_allclose(amps / np.linalg.norm(amps), res.output.amplitudes, atol=1e-15)
 
 
+def dense_pair_exponent(coeffs, cut):
+    """The exponent X of ``squeeze_pair_exponent_coefficients``, dense on the
+    box-truncated two-mode space."""
+    a = annihilation(cut).entries
+    ad = a.conj().T
+    eye = np.eye(cut.dim)
+    return (
+        coeffs["a1dag2"] * np.kron(ad @ ad, eye)
+        + coeffs["a1sq"] * np.kron(a @ a, eye)
+        + coeffs["a2dag2"] * np.kron(eye, ad @ ad)
+        + coeffs["a2sq"] * np.kron(eye, a @ a)
+        + coeffs["pair_create"] * np.kron(ad, ad)
+        + coeffs["pair_destroy"] * np.kron(a, a)
+    )
+
+
+def dense_exp_block(coeffs, cut, margin):
+    # expm of the dense X, one parity sector of n1 + n2 at a time (X has no
+    # entry between them), sliced to the safe block
+    x = dense_pair_exponent(coeffs, cut)
+    flat = np.arange(cut.dim ** 2)
+    odd = (flat // cut.dim + flat % cut.dim) % 2 == 1
+    exp_x = np.zeros_like(x)
+    for sector in (odd, ~odd):
+        exp_x[np.ix_(sector, sector)] = dense_expm(x[np.ix_(sector, sector)])
+    keep = safe_indices(cut, margin, modes=2)
+    return exp_x[np.ix_(keep, keep)]
+
+
 class TestObstruction:
     def test_matched_condition_no_change(self):
         # beta2 kappa = beta1 conj(kappa) kills the pair term and the
@@ -409,27 +431,27 @@ class TestObstruction:
         ids=["invariant", "obstructed", "generic"],
     )
     def test_safe_block_matches_dense_route(self, beta1, beta2, kappa, margin):
-        # reference: the dense U, the np.kron squeeze pair and one dense
-        # expm of X on the whole d^2 space, sliced to the safe block
+        # reference: the dense U and the np.kron squeeze pair at n_max 14, and
+        # exp(X) as U (S1 S2) U† with untruncated squeezes.  U keeps n1 + n2,
+        # so its safe block is exact, and the squeezes' first 15 rows and
+        # columns at n_max 80 are exact to round-off.
         cut = Cutoff(14)
         margin = _hyperbolic_margin(cut) if margin is None else margin
         coeffs = squeeze_pair_exponent_coefficients(beta1.value, beta2.value, kappa.value)
         u = beamsplitter_UJ(kappa, cut).entries
         pair = np.kron(squeeze(beta1, cut).entries, squeeze(beta2, cut).entries)
-        a = annihilation(cut).entries
-        ad = a.conj().T
-        eye = np.eye(cut.dim)
-        x = (
-            coeffs["a1dag2"] * np.kron(ad @ ad, eye)
-            + coeffs["a1sq"] * np.kron(a @ a, eye)
-            + coeffs["a2dag2"] * np.kron(eye, ad @ ad)
-            + coeffs["a2sq"] * np.kron(eye, a @ a)
-            + coeffs["pair_create"] * np.kron(ad, ad)
-            + coeffs["pair_destroy"] * np.kron(a, a)
+        wide = Cutoff(80)
+        exact_pair = np.kron(
+            squeeze(beta1, wide).entries[: cut.dim, : cut.dim],
+            squeeze(beta2, wide).entries[: cut.dim, : cut.dim],
         )
         keep = safe_indices(cut, margin, modes=2)
         block = np.ix_(keep, keep)
-        want = ((u @ pair @ u.conj().T)[block], dense_expm(x)[block], pair[block])
+        want = (
+            (u @ pair @ u.conj().T)[block],
+            (u @ exact_pair @ u.conj().T)[block],
+            pair[block],
+        )
 
         got = _obstruction_blocks(coeffs, beta1, beta2, kappa, cut, margin)
         for mine, ref in zip(got, want):
@@ -444,19 +466,20 @@ class TestObstruction:
 
     @pytest.mark.parametrize("n_max", [2, 6, 15])
     def test_exponent_keeps_total_parity(self, n_max):
-        # exp(X) is taken per parity sector of n1 + n2; that needs X to have
-        # no entry between the sectors, for any coefficients
+        # every term of X moves n1 + n2 by two, so exp(X) has no entry between
+        # the parity sectors, for any coefficients: the recurrence gives exact zeros
         rng = np.random.default_rng(n_max)
         keys = ("a1dag2", "a1sq", "a2dag2", "a2sq", "pair_create", "pair_destroy")
         coeffs = {k: complex(*rng.standard_normal(2)) for k in keys}
         cut = Cutoff(n_max)
-        x = _pair_exponent(coeffs, cut).toarray()
-        flat = np.arange(cut.dim ** 2)
-        odd = (flat // cut.dim + flat % cut.dim) % 2 == 1
-        assert np.count_nonzero(x[np.ix_(odd, ~odd)]) == 0
-        assert np.count_nonzero(x[np.ix_(~odd, odd)]) == 0
-        assert np.count_nonzero(x[np.ix_(odd, odd)]) > 0
-        assert np.count_nonzero(x[np.ix_(~odd, ~odd)]) > 0
+        keep = safe_indices(cut, 0, modes=2)
+        exp_x = _gaussian_exponential(coeffs, cut, keep)
+        i1, i2 = np.divmod(keep, cut.dim)
+        odd = (i1 + i2) % 2 == 1
+        assert np.count_nonzero(exp_x[np.ix_(odd, ~odd)]) == 0
+        assert np.count_nonzero(exp_x[np.ix_(~odd, odd)]) == 0
+        assert np.count_nonzero(exp_x[np.ix_(odd, odd)]) > 0
+        assert np.count_nonzero(exp_x[np.ix_(~odd, ~odd)]) > 0
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -471,89 +494,46 @@ def polar(top):
     return st.builds(PolarParam.from_polar, st.floats(0.0, top), st.floats(-math.pi, math.pi))
 
 
-def dense_exp_block(coeffs, cut, margin):
-    # one dense expm of X on the whole d^2 space, sliced to the safe block
-    keep = safe_indices(cut, margin, modes=2)
-    return dense_expm(_pair_exponent(coeffs, cut).toarray())[np.ix_(keep, keep)]
-
-
-class TestChebyshevExponential:
-    BETA_TOP = math.acosh(COSH_GUARD) - 1e-12
+class TestGaussianExponential:
+    # at |beta| <= 0.2 the box-truncated expm at n_max 20 is within 7.9e-15 of
+    # exp(X) on safe blocks up to n1 + n2 = 4 (40 draws at |beta1| = |beta2| = 0.2)
+    DENSE_CUTOFF = Cutoff(20)
     GENERIC = (
-        PolarParam.from_value(0.3 + 0.1j),
-        PolarParam.from_value(-0.2 + 0.25j),
+        PolarParam.from_value(0.15 + 0.1j),
+        PolarParam.from_value(-0.1 + 0.15j),
         PolarParam.from_polar(0.7, -1.2),
     )
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        polar(BETA_TOP),
-        polar(BETA_TOP),
-        polar(2 * math.pi),
-        st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
-    )
-    # margin = n_max: the safe block is the vacuum, so classes 1, 2 and 3 have no safe column
-    @example(*GENERIC, (12, 12))
-    @example(PolarParam.from_value(BETA_TOP), PolarParam.from_polar(BETA_TOP, 2.0),
-             PolarParam.from_polar(1.3, 0.4), (12, 0))
-    def test_series_matches_dense_exponential(self, beta1, beta2, kappa, sizes):
-        n_max, margin = sizes
-        cut = Cutoff(n_max)
+    @settings(max_examples=15, deadline=None)
+    @given(polar(0.2), polar(0.2), polar(2 * math.pi), st.integers(0, 4))
+    @example(*GENERIC, 4)
+    @example(PolarParam.from_polar(0.2, 1.0), PolarParam.from_polar(0.2, -2.0),
+             PolarParam.from_polar(1.3, 0.4), 4)
+    def test_matches_dense_exponential(self, beta1, beta2, kappa, cap):
+        cut = self.DENSE_CUTOFF
+        margin = cut.n_max - cap
         coeffs = squeeze_pair_exponent_coefficients(beta1.value, beta2.value, kappa.value)
-        _, exp_x, _ = _obstruction_blocks(coeffs, beta1, beta2, kappa, cut, margin)
-        assert np.abs(exp_x - dense_exp_block(coeffs, cut, margin)).max() <= 1e-12
+        exp_x = _gaussian_exponential(coeffs, cut, safe_indices(cut, margin, modes=2))
+        assert np.abs(exp_x - dense_exp_block(coeffs, cut, margin)).max() <= 1e-13
 
-    @pytest.mark.parametrize("margin", [0, 6])
-    def test_series_cut_at_half_the_radius_misses(self, margin, monkeypatch):
-        # control: the dense comparison catches a series stopped at k = R/2.
-        # Halving R itself is no control: the spectral radius is 0.56-0.85 R
-        # here, and outside [-1, 1] T_k grows only enough to lift the dropped
-        # tail to 1e-13-1e-7 on these columns.
-        cut = Cutoff(12)
+    def test_pair_create_one_percent_off_misses(self):
+        # control: the dense comparison catches a 1 % error in the pair coefficient
+        cut = self.DENSE_CUTOFF
         beta1, beta2, kappa = self.GENERIC
         coeffs = squeeze_pair_exponent_coefficients(beta1.value, beta2.value, kappa.value)
-        weights = fockforge.protocols._bessel_weights
-        monkeypatch.setattr(
-            fockforge.protocols, "_bessel_weights", lambda r: weights(r)[: math.floor(r / 2) + 1]
-        )
-        _, exp_x, _ = _obstruction_blocks(coeffs, beta1, beta2, kappa, cut, margin)
-        assert np.abs(exp_x - dense_exp_block(coeffs, cut, margin)).max() > 1e-6
+        wrong = {**coeffs, "pair_create": 1.01 * coeffs["pair_create"]}
+        exp_x = _gaussian_exponential(wrong, cut, safe_indices(cut, cut.n_max - 4, modes=2))
+        assert np.abs(exp_x - dense_exp_block(coeffs, cut, cut.n_max - 4)).max() > 1e-6
 
-    @pytest.mark.parametrize("n_max", [2, 6, 15])
-    def test_exponent_joins_shell_classes_two_apart(self, n_max):
-        # the series runs class by class (N = n1 + n2 mod 4) and stops at R = ||X||_1
-        rng = np.random.default_rng(100 + n_max)
-        keys = ("a1dag2", "a1sq", "a2dag2", "a2sq", "pair_create", "pair_destroy")
-        coeffs = {k: complex(*rng.standard_normal(2)) for k in keys}
-        cut = Cutoff(n_max)
-        flat = np.arange(cut.dim ** 2)
-        shell = (flat // cut.dim + flat % cut.dim) % 4
-        rows, cols = np.nonzero(_pair_exponent(coeffs, cut).toarray())
-        assert rows.size > 0
-        assert np.all(shell[rows] == (shell[cols] + 2) % 4)
-
-        b1, b2, kappa = (complex(*rng.standard_normal(2)) for _ in range(3))
-        x = _pair_exponent(squeeze_pair_exponent_coefficients(b1, b2, kappa), cut).toarray()
-        np.testing.assert_allclose(x, -x.conj().T, rtol=0, atol=1e-15)
-        radius = np.abs(x).sum(axis=0).max()
-        # the slack only absorbs eigvalsh's rounding where the two are equal (n_max 2)
-        assert radius * (1 + 1e-12) >= np.abs(np.linalg.eigvalsh(1j * x)).max()
-
-    @pytest.mark.parametrize("radius", [1e-3, 0.5, 3.0, 23.1, 49.3, 120.0, 400.0])
-    def test_bessel_tail_bounds_and_weights(self, radius):
-        weights = _bessel_weights(radius)
-        order = weights.size - 1
-        assert order > radius and _bessel_tail(radius, order) <= SERIES_TAIL
-        assert order - 1 <= radius or _bessel_tail(radius, order - 1) > SERIES_TAIL
-        j = special.jv(np.arange(order + 400), radius)
-        for k in range(math.floor(radius) + 1, order + 5):
-            assert _bessel_tail(radius, k) >= 2 * np.abs(j[k + 1:]).sum()
-        # the weights are those of exp(-i R y) = sum_k weights_k (-i)^k T_k(y) on [-1, 1];
-        # special.jv's weights miss this by 6e-14 at R = 120 and 3e-13 at R = 400
-        y = np.linspace(-1, 1, 2001)
-        cycle = np.array([1, -1j, -1, 1j])[np.arange(order + 1) % 4]
-        series = np.polynomial.chebyshev.chebval(y, weights * cycle)
-        assert np.abs(series - np.exp(-1j * radius * y)).max() <= 2e-16 * radius + 1e-15
+    def test_conjugation_converges_at_the_cosh_guard(self):
+        # at cosh|beta| = COSH_GUARD the truncated conjugation is 1e-2 off exp(X)
+        # at n_max 40 and 2e-7 at 80; at 160 only round-off is left
+        top = math.acosh(COSH_GUARD) - 1e-12
+        beta1, beta2 = PolarParam.from_polar(top, 0.7), PolarParam.from_polar(top, -2.1)
+        kappa = PolarParam.from_polar(4.3, 1.1)
+        rep = squeezed_swap_obstruction(beta1, beta2, kappa, Cutoff(160), margin=156)
+        assert rep.residuals["exponent_match"] <= 1e-13
+        assert rep.passed
 
     def test_zero_and_subnormal_exponents(self):
         zero = PolarParam.from_value(0)
@@ -566,14 +546,16 @@ class TestChebyshevExponential:
         assert rep.residuals["exponent_match"] == rep.residuals["invariance"]
         assert rep.residuals["exponent_match"] <= 1e-13
         assert rep.passed
-        # entries below 1e-308: 2/R would overflow, exp(X) is the identity
+        # entries below 1e-308: A A† underflows to 0, so s = 0 needs no special case
         tiny = PolarParam.from_value(1e-310)
         rep = squeezed_swap_obstruction(tiny, tiny, kappa)
         assert rep.residuals["exponent_match"] <= 1e-13
         assert rep.passed
 
     def test_vacuum_block_at_full_margin(self):
-        beta1, beta2, kappa = self.GENERIC
+        beta1 = PolarParam.from_value(0.3 + 0.1j)
+        beta2 = PolarParam.from_value(-0.2 + 0.25j)
+        kappa = PolarParam.from_polar(0.7, -1.2)
         n_max = fockforge.protocols.OBSTRUCTION_CUTOFF.n_max
         rep = squeezed_swap_obstruction(beta1, beta2, kappa, margin=n_max)
         assert rep.margin == n_max

@@ -62,7 +62,7 @@ COMMANDS = (
         ["swap", "--a1", "1,0", "--a2", "0,1", "--delta", "1e15"],
         ["clone", "--alpha", "1,0", "--delta", "1e300"],
         ["sweep", "--check", "check_phase_formula", "--values", "1e300"],
-        # the obstruction's exp(X) at a larger radius than the default cutoff gives
+        # the obstruction's conjugated side at a larger cutoff than the default
         ["sweep", "--check", "squeezed_swap_obstruction", "--values", "0.0,0.45,0.9", "--nmax", "60"],
     ]
 )
