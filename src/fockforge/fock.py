@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
-from scipy.special import gammainc
 
 from .config import DEFAULT_TOLERANCES, TAIL_BOUND
 
@@ -263,9 +261,24 @@ def tensor_ket(a: Ket, b: Ket) -> Ket:
 # matrix exponential
 
 
+# Higham's [13/13] Pade coefficients b_k / b_0 (SIAM J. Matrix Anal. Appl. 26,
+# 1179 (2005)): with b_0 = 1 a zero generator solves I x = I exactly.  _THETA13
+# is the 1-norm up to which [13/13] alone is accurate to the machine epsilon.
+_PADE13 = tuple(
+    b / 64764752532480000.0
+    for b in (
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+        129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+        1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+    )
+)
+_THETA13 = 5.371920351148152
+
+
 def _expm_array(g: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a dense array; raises on non-finite entries in
-    the generator or in its exponential.
+    """Matrix exponential of a dense array by [13/13] Pade approximation with
+    scaling and squaring (Higham 2005); raises on non-finite entries in the
+    generator or in its exponential.
 
     Its only production caller is ``states.coherent_with_deficit``;
     ``fockforge.lie`` exponentiates the displacement, the squeezes and the
@@ -273,7 +286,22 @@ def _expm_array(g: np.ndarray) -> np.ndarray:
     """
     if not np.all(np.isfinite(g)):
         raise ValueError("generator has non-finite entries")
-    out = _scipy_expm(g)
+    norm = np.linalg.norm(g, 1)
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = g / 2.0**squarings
+    b = _PADE13
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    odd = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+    u = a @ (odd + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
+    out = np.linalg.solve(v - u, v + u)
+    # an overflow is caught below, so numpy need not warn about it on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            out = out @ out
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix exponential overflowed to non-finite entries")
     return out
@@ -345,12 +373,74 @@ def residual(a: Operator, b: Operator, margin: int) -> float:
 # cutoff adequacy for coherent amplitudes
 
 
+# Stirling's series below keeps lgamma to 1e-14 from this argument on
+_STIRLING_FROM = 16
+
+
+def _stirling_series(x):
+    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2), for x >= _STIRLING_FROM."""
+    inv2 = 1.0 / (x * x)
+    return (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680))) / x
+
+
+def _log_poisson_term(lam: float, k: float) -> float:
+    """log(e^-lam lam^k / k!) at a real k >= 0.  From k = _STIRLING_FROM on it is
+    k log(lam / k) + (k - lam) - log(2 pi k) / 2 - _stirling_series(k), with
+    log(lam / k) as a log1p near 1, which keeps its digits where
+    k log(lam) - lam - lgamma(k + 1) would cancel, at large k near lam."""
+    k = float(k)
+    if k < _STIRLING_FROM:
+        return k * math.log(lam) - lam - math.lgamma(k + 1.0)
+    ratio = (lam - k) / k
+    log_ratio = math.log1p(ratio) if abs(ratio) < 0.5 else math.log(lam) - math.log(k)
+    return k * log_ratio + (k - lam) - 0.5 * math.log(2 * math.pi * k) - _stirling_series(k)
+
+
 def poisson_tail(alpha_abs: float, n_max: int) -> float:
-    """Poisson(|alpha|^2) mass above n_max: sum_{n > n_max} e^-lam lam^n / n!."""
+    """Poisson(|alpha|^2) mass above n_max: sum_{n > n_max} e^-lam lam^n / n!.
+
+    Summed away from the mode: the terms above n_max when n_max + 1 > lam,
+    else 1 minus the terms from n_max down to 0, so that the summed terms
+    always fall.  The first is taken in log space and each next one is the
+    last times lam / k or k / lam; the sum stops once they are below e^-45 of
+    the first.  Past 65536 terms (lam above
+    about 5e7, with n_max near it, a truncation far beyond any memory) each
+    block of ``stride`` terms counts as ``stride`` times its middle term: the
+    relative error stays below 1e-7 up to lam = 1e20.  Past lam ~ 1e28 a float
+    no longer resolves the width sqrt(lam) near lam, and the tail there is
+    only kept within [0, 1].
+    """
     lam = alpha_abs * alpha_abs
     if lam == 0.0:
         return 0.0
-    return float(gammainc(n_max + 1, lam))
+    if math.isinf(lam):  # |alpha|^2 overflows a float: all the mass lies above n_max
+        return 1.0
+    upper = n_max + 1 > lam
+    first = n_max + 1 if upper else n_max
+    # each term is below the last by the ratio at ``first`` or less, and by
+    # the Gaussian fall of width sqrt(lam) about the mode
+    rate = abs(math.log(first) - math.log(lam)) if first else math.inf
+    steps = 45.0 / rate if rate else math.inf  # rate is 0 where lam rounds to first
+    width = math.ceil(min(steps, math.sqrt(90.0 * max(lam, first))) + 64)
+    if not upper:
+        width = min(width, n_max + 1)
+    stride = math.ceil(width / 65536)
+    if stride == 1:
+        total = term = 1.0
+        for j in range(1, width):
+            term *= lam / (first + j) if upper else (first - j + 1) / lam
+            total += term
+            if term < 1e-20 * total:
+                break
+        log_sum = _log_poisson_term(lam, first) + math.log(total)
+    else:
+        middles = [first + (stride * j + (stride - 1) / 2) * (1 if upper else -1)
+                   for j in range(math.ceil(width / stride))]
+        logs = np.array([_log_poisson_term(lam, k) for k in middles if k >= 0])
+        top = logs.max()
+        log_sum = top + math.log(stride * np.exp(logs - top).sum())
+    tail = math.exp(log_sum) if upper else -math.expm1(log_sum)
+    return min(1.0, max(0.0, tail))
 
 
 def adequate_cutoff(alpha_abs: float, tail_bound: float = TAIL_BOUND) -> int:

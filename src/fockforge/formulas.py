@@ -18,8 +18,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh, default_margin
 from .fock import (
@@ -72,29 +70,72 @@ def _hyperbolic_margin(cutoff: Cutoff) -> int:
     return max(0, cutoff.n_max - HYPERBOLIC_SAFE_BLOCK)
 
 
-def _restricted_conjugation(rows, a):
+def _restricted_conjugation(rows, a, right=None):
     """Safe block of U A U†, computed with slim matrix products.
 
-    ``rows`` holds U's rows on the safe subspace, dense or sparse.  Identical
-    to projecting the full conjugation with the safe projector.
+    ``rows`` holds U's rows on the safe subspace, and ``right`` the rows on
+    the right when they differ, as for one pair of chains.  Identical to
+    projecting the full conjugation with the safe projector.
     """
-    return rows @ a @ rows.conj().T
+    right = rows if right is None else right
+    return rows @ a @ right.conj().T
 
 
 def _conjugation_residual(rows, a, rhs_block) -> float:
     """Frobenius norm of the safe block of U A U† minus ``rhs_block``, the
     right-hand side's safe block; ``rows`` holds U's safe rows."""
-    block = _restricted_conjugation(rows, a) - rhs_block
-    if sparse.issparse(block):
-        return float(sparse_norm(block, "fro"))
-    return float(np.linalg.norm(block, "fro"))
+    return float(np.linalg.norm(_restricted_conjugation(rows, a) - rhs_block, "fro"))
 
 
-def _two_mode_ladders(cutoff: Cutoff) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """Sparse a1 = a (x) 1 and a2 = 1 (x) a on the two-mode space."""
-    a = sparse.csr_array(annihilation(cutoff).entries)
-    eye = sparse.eye_array(cutoff.dim, dtype=complex)
-    return sparse.kron(a, eye, format="csr"), sparse.kron(eye, a, format="csr")
+# the two-mode ladders a1, a2 and a2† as (mode, step): a_mode lowers that
+# mode's occupation by one, a_mode† raises it
+A1, A2, A2DAG = (0, -1), (1, -1), (1, 1)
+
+
+def _ladder_between(ladder, cutoff: Cutoff, target: np.ndarray, source: np.ndarray):
+    """Entries <t|L|s> of the truncated two-mode ladder L between the flat
+    indices ``target`` and ``source``."""
+    mode, step = ladder
+    t_occ, s_occ = np.divmod(target, cutoff.dim), np.divmod(source, cutoff.dim)
+    moved = s_occ[mode] + step
+    hit = (t_occ[mode][:, None] == moved) & (t_occ[1 - mode][:, None] == s_occ[1 - mode])
+    return hit * np.sqrt(np.maximum(s_occ[mode], moved))
+
+
+def _chain_pair_residuals(chains, cutoff: Cutoff, sides) -> list[float]:
+    """Frobenius norms of the safe blocks of U L U† - sum_i w_i L_i, one per
+    side (L, [(w_i, L_i), ...]), for ``chains`` U's safe rows per chain
+    (``lie.safe_rows``), computed chain pair by chain pair.
+
+    U is block-diagonal over its chains, and every ladder here moves the
+    chains' conserved label by the same step, so all of them map a chain into
+    the same neighbour.  The safe block is then the sum, over source chains s,
+    of the blocks R_t L R_s† with t the chain L maps s into; both sides vanish
+    outside those blocks.
+    """
+    owner = np.full(cutoff.dim ** 2, -1)
+    for number, (_, index, _) in enumerate(chains):
+        owner[index] = number
+    inside = [np.isin(index, at) for at, index, _ in chains]
+    mode, step = sides[0][0]
+    shift = step * (cutoff.dim if mode == 0 else 1)
+    needed = {conjugated for conjugated, _ in sides}
+    needed |= {term for _, expected in sides for _, term in expected}
+    totals = [0.0] * len(sides)
+    for source, (_, index_s, rows_s) in enumerate(chains):
+        moved = np.divmod(index_s, cutoff.dim)[mode] + step
+        valid = (moved >= 0) & (moved <= cutoff.n_max)
+        target = owner[index_s[valid][0] + shift] if valid.any() else -1
+        if target < 0:  # the ladders empty this chain, or map it onto one that misses the safe block
+            continue
+        _, index_t, rows_t = chains[target]
+        safe = np.ix_(inside[target], inside[source])
+        blocks = {ladder: _ladder_between(ladder, cutoff, index_t, index_s) for ladder in needed}
+        for k, (conjugated, expected) in enumerate(sides):
+            lhs = _restricted_conjugation(rows_t, blocks[conjugated], rows_s)
+            rhs = sum(w * blocks[term][safe] for w, term in expected)
+            totals[k] += float(np.linalg.norm(lhs - rhs)) ** 2
+    return [math.sqrt(total) for total in totals]
 
 
 def _conjugated_squeeze_pair(
@@ -107,7 +148,11 @@ def _conjugated_squeeze_pair(
     only the blocks of U and of the pair (a product of single-mode blocks) enter.
     """
     keep = safe_indices(cutoff, margin, modes=2)
-    u = safe_rows("su2", t, cutoff, keep)[:, keep].toarray()
+    pos = np.full(cutoff.dim ** 2, -1)
+    pos[keep] = np.arange(keep.size)
+    u = np.zeros((keep.size, keep.size), dtype=complex)
+    for at, index, rows in safe_rows("su2", t, cutoff, keep):
+        u[np.ix_(pos[at], pos[index])] = rows
     i1, i2 = np.divmod(keep, cutoff.dim)
     s1 = squeeze(alpha, cutoff).entries
     s2 = squeeze(beta, cutoff).entries
@@ -161,20 +206,19 @@ def check_J_rotation(
     margin = default_margin(cutoff.n_max) if margin is None else margin
     tol = DEFAULT_TOLERANCES.identity_residual if tolerance is None else tolerance
 
-    a1, a2 = _two_mode_ladders(cutoff)
-    keep = safe_indices(cutoff, margin, modes=2)
-    rows = safe_rows("su2", t, cutoff, keep)
+    chains = safe_rows("su2", t, cutoff, safe_indices(cutoff, margin, modes=2))
 
     m = t.modulus
     c = math.cos(m)
     ts = t.value * _sinc(m)
-    rhs1 = c * a1 - ts * a2
-    rhs2 = c * a2 + ts.conjugate() * a1
 
     coeff = np.array([[c, ts.conjugate()], [-ts, c]])
+    a1_res, a2_res = _chain_pair_residuals(
+        chains, cutoff, [(A1, [(c, A1), (-ts, A2)]), (A2, [(c, A2), (ts.conjugate(), A1)])]
+    )
     residuals = {
-        "a1_conjugation": _conjugation_residual(rows, a1, rhs1[keep][:, keep]),
-        "a2_conjugation": _conjugation_residual(rows, a2, rhs2[keep][:, keep]),
+        "a1_conjugation": a1_res,
+        "a2_conjugation": a2_res,
         "su2_unitarity": float(np.linalg.norm(coeff.conj().T @ coeff - np.eye(2), "fro")),
         "su2_determinant": float(abs(np.linalg.det(coeff) - 1.0)),
     }
@@ -197,20 +241,20 @@ def check_K_rotation(
     tol = DEFAULT_TOLERANCES.identity_residual if tolerance is None else tolerance
     _guard_cosh(t.modulus, "t")
 
-    a1, a2 = _two_mode_ladders(cutoff)
-    a2d = a2.conj().T.tocsr()
-    keep = safe_indices(cutoff, margin, modes=2)
-    rows = safe_rows("su11", t, cutoff, keep)
+    chains = safe_rows("su11", t, cutoff, safe_indices(cutoff, margin, modes=2))
 
     m = t.modulus
     ch = math.cosh(m)
     ts = t.value * _sinhc(m)
-    rhs1 = ch * a1 - ts * a2d
-    rhs2 = ch * a2d - ts.conjugate() * a1
 
+    a1_res, a2dag_res = _chain_pair_residuals(
+        chains,
+        cutoff,
+        [(A1, [(ch, A1), (-ts, A2DAG)]), (A2DAG, [(ch, A2DAG), (-ts.conjugate(), A1)])],
+    )
     residuals = {
-        "a1_conjugation": _conjugation_residual(rows, a1, rhs1[keep][:, keep]),
-        "a2dag_conjugation": _conjugation_residual(rows, a2d, rhs2[keep][:, keep]),
+        "a1_conjugation": a1_res,
+        "a2dag_conjugation": a2dag_res,
         "su11_normalization": float(abs(ch * ch - math.sinh(m) ** 2 - 1.0)),
     }
     return make_report("check_K_rotation", (t,), cutoff, margin, residuals, {}, tol)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh
 from .fock import Cutoff, Ket, Operator, PolarParam, annihilation, dagger, identity, number, tensor
@@ -222,6 +220,13 @@ def solve_each_chain_once() -> Iterator[None]:
         _chain_solves.reset(token)
 
 
+def eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of the real
+    symmetric tridiagonal matrix with this diagonal and off-diagonal, from a
+    dense ``numpy.linalg.eigh``: a chain has at most n_max + 1 positions."""
+    return np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+
+
 def _chain_eigensystem(ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu, W) of the zero-diagonal symmetric tridiagonal matrix of ``ladder``."""
     solves, key = _chain_solves.get(), ladder.tobytes()
@@ -289,25 +294,26 @@ def sector_operator(algebra: str, kappa: PolarParam, cutoff: Cutoff, modes: int 
 
 def safe_rows(
     algebra: str, kappa: PolarParam, cutoff: Cutoff, keep: np.ndarray
-) -> sparse.csr_array:
-    """Rows ``keep`` of the two-mode exp(kappa X+ - conj(kappa) X-), as a
-    sparse |keep| x d^2 array, built from the chains that meet ``keep`` only.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rows ``keep`` of the two-mode exp(kappa X+ - conj(kappa) X-), chain by
+    chain, from the chains that meet ``keep`` only.
 
-    On a safe block (complete sectors n1 + n2 <= cap) the su2 chains through
-    ``keep`` lie inside it, so the rows vanish outside ``keep``; the su11
-    chains through it run on up to the cutoff.
+    Each entry is ``(at, index, rows)``: ``index`` the chain's flat indices in
+    chain order, ``at`` those of them in ``keep``, and ``rows`` the dense
+    |at| x |index| rows of the chain's block there.  Every other entry of the
+    rows vanishes.  On a safe block (complete sectors n1 + n2 <= cap) the su2
+    chains through ``keep`` lie inside it; the su11 chains through it run on
+    up to the cutoff.
     """
-    dim = cutoff.dim ** 2
-    pos = np.full(dim, -1)
-    pos[keep] = np.arange(keep.size)
-    rows, cols, vals = [], [], []
+    inside = np.zeros(cutoff.dim ** 2, dtype=bool)
+    inside[keep] = True
+    out = []
     for block in sector_blocks(algebra, kappa, cutoff, meets=keep):
-        inside = pos[block.index] >= 0
-        rows.append(np.repeat(pos[block.index[inside]], block.index.size))
-        cols.append(np.tile(block.index, np.count_nonzero(inside)))
-        vals.append(block.matrix()[inside].ravel())
-    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return sparse.csr_array(entries, shape=(keep.size, dim))
+        hit = inside[block.index]
+        left = block.phase[hit, None] * block.vectors[hit] * block.spectrum
+        rows = left @ (block.vectors.T * block.phase.conj())
+        out.append((block.index[hit], block.index, rows))
+    return out
 
 
 def apply_sectors(algebra: str, kappa: PolarParam, ket: Ket) -> Ket:

@@ -6,7 +6,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import betaln, binom, gammaln
 
 from .config import PERELOMOV_AMPLITUDE_BOUND
 from .fock import (
@@ -15,7 +14,9 @@ from .fock import (
     Ket,
     Operator,
     PolarParam,
+    _STIRLING_FROM,
     _expm_array,
+    _stirling_series,
     annihilation,
     dagger,
     tail_warning,
@@ -56,7 +57,12 @@ def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float
     # the closed form goes first: it rejects an amplitude too large to square
     deficit = abs(1.0 - coherent_series(alpha, cutoff).norm)
     tail_warning(alpha.modulus, cutoff, context="displacement")
-    # dense on purpose: perfbench keeps each protocol output, so faster states raise its peak RSS
+    # dense on purpose: perfbench keeps every protocol output for the whole run, so
+    # faster states mean more kept outputs.  Taken from the Heisenberg-Weyl chain
+    # with scipy still imported, they quadrupled protocols_large_alpha's operations
+    # and took its peak RSS from 89.7 to 133.4 MB, past its 10 % bound; without
+    # scipy the same move read 82-87 MB at 1224-1377 operations, against 87-90 MB
+    # before, too thin a margin to rest on (ROADMAP items 1 and 2).
     a = annihilation(cutoff)
     gen = alpha.value * dagger(a) - alpha.conj * a
     raw = Ket(_expm_array(gen.entries)[:, 0], 1, cutoff)
@@ -82,7 +88,8 @@ def coherent_series(alpha: PolarParam, cutoff: Cutoff) -> Ket:
         raise ValueError(
             f"coherent amplitude |alpha| = {alpha.modulus:.4g} is too large: |alpha|^2 overflows"
         )
-    log_mag = -0.5 * mean + n * math.log(alpha.modulus) - 0.5 * gammaln(n + 1)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(cutoff.dim)])
+    log_mag = -0.5 * mean + n * math.log(alpha.modulus) - 0.5 * log_factorial
     amps = np.exp(log_mag) * np.exp(1j * n * alpha.phase)
     return Ket(amps, 1, cutoff, normalized=False)
 
@@ -108,12 +115,42 @@ def phase_rotation(t: float, cutoff: Cutoff) -> Operator:
 def perelomov_su2(z: PolarParam, spin: SpinJ) -> Ket:
     """exp(z J+ - conj(z) J-) applied to the lowest-weight state, in closed form:
     sqrt(C(2J, n)) cos^(2J-n)|z| sin^n|z| e^{i n phase(z)}; exactly unit norm.
-    The tan|z| form would flip sign past |z| = pi/2 and is infinite there."""
+    The tan|z| form would flip sign past |z| = pi/2 and is infinite there.
+    Magnitudes are taken in log space, since C(2J, n) overflows a float past
+    2J = 1029, and z = 0 gives the exact lowest weight."""
+    two_j, r = spin.two_j, z.modulus
+    if r == 0.0:
+        return Ket(np.eye(spin.dim, dtype=complex)[0], 1, Cutoff(two_j), normalized=True)
     n = np.arange(spin.dim)
-    r = z.modulus
-    # real magnitudes times phases, so that z = 0 gives the exact lowest weight
-    mags = np.sqrt(binom(spin.two_j, n)) * math.cos(r) ** (spin.two_j - n) * math.sin(r) ** n
-    return Ket(mags * np.exp(1j * z.phase * n), 1, Cutoff(spin.two_j), normalized=True)
+    cos, sin = math.cos(r), math.sin(r)
+    log_binom, binom = np.empty(spin.dim), 1
+    for k in range(spin.dim):  # C(2J, k) exactly, as a Python integer
+        log_binom[k] = math.log(binom)
+        binom = binom * (two_j - k) // (k + 1)
+    mags = np.exp(0.5 * log_binom + (two_j - n) * math.log(abs(cos)) + n * math.log(abs(sin)))
+    # the signs of cos^(2J-n) and sin^n, which the logs drop
+    mags *= math.copysign(1.0, cos) ** (two_j - n) * math.copysign(1.0, sin) ** n
+    return Ket(mags * np.exp(1j * z.phase * n), 1, Cutoff(two_j), normalized=True)
+
+
+def _log_rising_binomial(two_k: float, n: np.ndarray) -> np.ndarray:
+    """log(Gamma(2K + n) / (n! Gamma(2K))), the log of C(2K - 1 + n, n), at
+    integers n >= 0.  From n = _STIRLING_FROM on it is (n + 1/2) log1p((2K - 1)
+    / (n + 1)) + (2K - 1)(log(n + 2K) - 1) plus the difference of Stirling's
+    series, which keeps its digits at n ~ 1e16, where a difference of lgamma
+    values has none left."""
+    n = np.asarray(n, dtype=float)
+    out = np.empty_like(n)
+    small = n < _STIRLING_FROM
+    out[small] = [math.lgamma(two_k + k) - math.lgamma(k + 1.0) for k in n[small]]
+    big = n[~small]
+    out[~small] = (
+        (big + 0.5) * np.log1p((two_k - 1) / (big + 1))
+        + (two_k - 1) * (np.log(big + two_k) - 1)
+        + _stirling_series(big + two_k)
+        - _stirling_series(big + 1)
+    )
+    return out - math.lgamma(two_k)
 
 
 def su11_adequate_cutoff(z_abs: float, two_k: float) -> int:
@@ -132,9 +169,7 @@ def su11_adequate_cutoff(z_abs: float, two_k: float) -> int:
     log_bound = math.log(PERELOMOV_AMPLITUDE_BOUND)
 
     def below(n: int) -> bool:
-        # Gamma(2K+n) / (n! Gamma(2K)) = 1 / ((2K+n) B(2K, n+1)); betaln keeps its
-        # digits at n ~ 1e16, where a difference of gammaln values has none left
-        log_binom = -math.log(two_k + n) - betaln(two_k, n + 1)
+        log_binom = float(_log_rising_binomial(two_k, n))
         return 0.5 * log_binom + two_k * log_sech + n * log_rate < log_bound
 
     # the amplitudes fall from the peak on, where tanh^2|z| (2K + n) <= n + 1
@@ -166,10 +201,17 @@ def perelomov_su11(z: PolarParam, spin: SpinK) -> Ket:
                 CutoffWarning,
                 stacklevel=2,
             )
-    n = np.arange(spin.cutoff.dim)
     r = z.modulus
-    mags = np.sqrt(binom(two_k - 1 + n, n)) * math.tanh(r) ** n / math.cosh(r) ** two_k
-    return Ket(mags * np.exp(1j * z.phase * n), 1, spin.cutoff, normalized=False)
+    if r == 0.0:
+        return Ket(np.eye(spin.cutoff.dim, dtype=complex)[0], 1, spin.cutoff)
+    n = np.arange(spin.cutoff.dim)
+    # in log space: C(2K - 1 + n, n) overflows a float at large 2K and n
+    log_mag = (
+        0.5 * _log_rising_binomial(two_k, n)
+        + n * math.log(math.tanh(r))
+        - two_k * math.log(math.cosh(r))
+    )
+    return Ket(np.exp(log_mag) * np.exp(1j * z.phase * n), 1, spin.cutoff, normalized=False)
 
 
 def squeezed_coherent(beta: PolarParam, alpha: PolarParam, cutoff: Cutoff) -> Ket:

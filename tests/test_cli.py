@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -472,3 +476,46 @@ class TestDeterminism:
         assert len(reports) == 43
         drawn = json.dumps([[r["name"], r["params"], r["n_max"], r["margin"]] for r in reports])
         assert hashlib.sha256(drawn.encode()).hexdigest() == digest
+
+
+# Runs commands in a fresh interpreter where any import of scipy, or of one of
+# its submodules, raises ImportError; prints their exit codes and whether any
+# scipy module got loaded.
+NO_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from fockforge.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_commands_run_without_scipy(capsys):
+    # numpy is the only runtime dependency: every command exits as it does here
+    commands = [
+        ["verify-all", "--seed", "7"],
+        ["swap", "--a1", "1.2,0.3", "--a2", "0.4@1.0"],
+        ["clone", "--alpha", "0.9,-0.2"],
+        ["sweep", "--check", "check_squeeze_conjugation", "--values", "0.8", "--nmax", "16",
+         "--margin", "2"],  # fails its tolerance: exit 1
+        ["swap", "--a1", "1e20,0", "--a2", "0,1"],  # the dense displacement overflows: exit 2
+    ]
+    commands += [
+        ["sweep", "--check", c.name, "--values", "0.3,0.6"] for c in FORMULA_CHECKS + PROTOCOL_CHECKS
+    ]
+    want = []
+    for argv in commands:
+        want.append(main(argv))
+        capsys.readouterr()
+    src = Path(fockforge.cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": want, "loaded": []}

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
+from scipy.special import gammainc
 
 from fockforge import (
     Cutoff,
@@ -249,6 +251,26 @@ class TestExpm:
         want = series_expm(g)
         assert np.linalg.norm(got - want, 2) < 1e-12 * np.linalg.norm(want, 2)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 30),
+        st.floats(-3.0, 3.0),
+        st.floats(0.0, 4.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_expm(self, dim, log_norm, skew, seed):
+        # a Gaussian matrix with its strictly upper triangle weighted up to 1e4
+        # times, scaled to a 1-norm of 1e-3 to 1e3; 1e-10 is 25 times the worst
+        # gap in 10000 such draws
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        g = g + 10.0**skew * np.triu(g, 1)
+        g *= 10.0**log_norm / np.linalg.norm(g, 1)
+        want = scipy_expm(g)
+        assume(np.all(np.isfinite(want)))  # a real eigenvalue past 709 overflows
+        got = _expm_array(g)
+        assert np.linalg.norm(got - want, 1) <= 1e-10 * np.linalg.norm(want, 1)
+
     def test_unitarity_of_antihermitian_exponentials(self):
         rng = np.random.default_rng(7)
         c = Cutoff(20)
@@ -369,6 +391,33 @@ class TestTailRule:
     def test_displacement_warns_when_inadequate(self):
         with pytest.warns(CutoffWarning):
             displacement(PolarParam.from_value(3.0), Cutoff(4))
+
+    # perfbench's ladder of protocol amplitudes, 2.0 to 4.5
+    LADDER = [2.0 + k / 8 for k in range(9)] + [3.25, 3.5, 3.75, 4.5]
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.0, 1e-150, 1e-3, 0.5, 1.0, *LADDER, 10.0, 30.0, 316.0, 1e20, 1e75, 1e150, 1e200],
+    )
+    def test_tail_matches_regularized_gamma(self, alpha):
+        # scipy's gammainc(n + 1, lam) is the second route; past lam ~ 1e6 near
+        # the mode it loses digits itself, so those n are left out
+        lam = alpha * alpha
+        ns = {0, 1, 2, 5, 10, 30, 100, 1000, 10**5}
+        if lam <= 1e6:
+            ns |= {max(0, int(lam + c * math.sqrt(lam))) for c in range(-10, 21)}
+        for n in sorted(ns):
+            want = float(gammainc(n + 1, lam)) if lam else 0.0
+            got = poisson_tail(alpha, n)
+            assert (got >= 1e-12) == (want >= 1e-12)
+            assert got == pytest.approx(want, rel=2e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("alpha", [k / 20 for k in range(121)] + LADDER)
+    def test_adequate_cutoff_matches_regularized_gamma(self, alpha):
+        n = max(1, math.ceil(alpha * alpha))
+        while gammainc(n + 1, alpha * alpha) >= 1e-12:
+            n += 1
+        assert adequate_cutoff(alpha) == n
 
 
 class TestKet:

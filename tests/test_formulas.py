@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import norm as sparse_norm
 
 import fockforge.fock
 import fockforge.states
@@ -26,13 +28,73 @@ from fockforge import (
     tensor,
 )
 from fockforge.fock import annihilation, dagger, safe_indices
-from fockforge.formulas import _restricted_conjugation
+from fockforge.formulas import _restricted_conjugation, _sinc, _sinhc
+from fockforge.lie import sector_blocks
 
 RNG = np.random.default_rng(23)
 
 
 def random_param(lo, hi, rng=RNG):
     return PolarParam.from_polar(rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
+
+
+def sparse_route_residuals(algebra: str, t: PolarParam, cut: Cutoff, margin: int) -> dict:
+    """The J (su2) or K (su11) conjugation residuals by the sparse route: U's
+    safe rows as one CSR array over the whole two-mode space, the ladders as
+    sparse Kronecker products, and the safe block of U A U† in one product."""
+    keep = safe_indices(cut, margin, modes=2)
+    pos = np.full(cut.dim ** 2, -1)
+    pos[keep] = np.arange(keep.size)
+    rows, cols, vals = [], [], []
+    for block in sector_blocks(algebra, t, cut, meets=keep):
+        inside = pos[block.index] >= 0
+        rows.append(np.repeat(pos[block.index[inside]], block.index.size))
+        cols.append(np.tile(block.index, np.count_nonzero(inside)))
+        vals.append(block.matrix()[inside].ravel())
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    u = sparse.csr_array(entries, shape=(keep.size, cut.dim ** 2))
+    a = sparse.csr_array(annihilation(cut).entries)
+    eye = sparse.eye_array(cut.dim, dtype=complex)
+    a1, a2 = sparse.kron(a, eye, format="csr"), sparse.kron(eye, a, format="csr")
+    m = t.modulus
+    if algebra == "su2":
+        c, ts = math.cos(m), t.value * _sinc(m)
+        sides = {
+            "a1_conjugation": (a1, c * a1 - ts * a2),
+            "a2_conjugation": (a2, c * a2 + ts.conjugate() * a1),
+        }
+    else:
+        a2d = a2.conj().T.tocsr()
+        ch, ts = math.cosh(m), t.value * _sinhc(m)
+        sides = {
+            "a1_conjugation": (a1, ch * a1 - ts * a2d),
+            "a2dag_conjugation": (a2d, ch * a2d - ts.conjugate() * a1),
+        }
+    return {
+        name: float(sparse_norm(u @ op @ u.conj().T - rhs[keep][:, keep], "fro"))
+        for name, (op, rhs) in sides.items()
+    }
+
+
+class TestChainPairConjugation:
+    """check_J_rotation and check_K_rotation conjugate chain pair by chain
+    pair; the sparse route over the whole two-mode space is the second route."""
+
+    @pytest.mark.parametrize("n_max", [1, 4, 9, 24, 44, 80])
+    @pytest.mark.parametrize(
+        "check, algebra, top",
+        [(check_J_rotation, "su2", 2 * math.pi), (check_K_rotation, "su11", 1.7)],
+    )
+    def test_residuals_match_sparse_route(self, check, algebra, top, n_max):
+        rng = np.random.default_rng(n_max)
+        cut = Cutoff(n_max)
+        for margin in sorted({0, n_max // 3, n_max - 1}):
+            t = random_param(0.0, top, rng)
+            rep = check(t, cut, margin)
+            want = sparse_route_residuals(algebra, t, cut, margin)
+            for name, value in want.items():
+                # truncated edges give residuals of order one; exact ones, round-off
+                assert rep.residuals[name] == pytest.approx(value, rel=1e-12, abs=1e-13)
 
 
 class TestJRotation:

@@ -41,6 +41,21 @@ from test_acceptance import _closure
 BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}
 
 
+def _assembled_rows(chains, cut: Cutoff, keep: np.ndarray) -> np.ndarray:
+    """The |keep| x d^2 rows that safe_rows gives chain by chain, as one
+    dense array; each chain's rows sit at its own indices, once."""
+    pos = np.full(cut.dim ** 2, -1)
+    pos[keep] = np.arange(keep.size)
+    out = np.zeros((keep.size, cut.dim ** 2), dtype=complex)
+    seen = np.zeros(cut.dim ** 2, dtype=bool)
+    for at, index, rows in chains:
+        assert rows.shape == (at.size, index.size) and not seen[index].any()
+        assert np.isin(at, index).all()
+        seen[index] = True
+        out[np.ix_(pos[at], index)] = rows
+    return out
+
+
 @st.composite
 def kappas(draw, algebra):
     """A two-mode unitary parameter; su(1,1) moduli stay inside the cosh guard."""
@@ -275,17 +290,16 @@ class TestSectorKernel:
         cut = Cutoff(n_max)
         keep = safe_indices(cut, margin, modes=2)
         builder, _ = BUILDERS[algebra]
-        rows = safe_rows(algebra, kappa, cut, keep)
-        assert rows.shape == (keep.size, cut.dim ** 2)
-        assert np.abs(rows.toarray() - builder(kappa, cut).entries[keep]).max() <= 1e-13
+        rows = _assembled_rows(safe_rows(algebra, kappa, cut, keep), cut, keep)
+        assert np.abs(rows - builder(kappa, cut).entries[keep]).max() <= 1e-13
 
     @pytest.mark.parametrize("algebra", ["su2", "su11"])
     @pytest.mark.parametrize("margin", [0, 2, 5])
     def test_safe_rows_at_zero_are_identity_rows(self, algebra, margin):
         cut = Cutoff(5)
         keep = safe_indices(cut, margin, modes=2)
-        rows = safe_rows(algebra, PolarParam.from_value(0), cut, keep)
-        np.testing.assert_array_equal(rows.toarray(), np.eye(cut.dim ** 2)[keep])
+        rows = _assembled_rows(safe_rows(algebra, PolarParam.from_value(0), cut, keep), cut, keep)
+        np.testing.assert_array_equal(rows, np.eye(cut.dim ** 2)[keep])
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as dense_expm
-from scipy.special import gammaln
+from scipy.special import betaln, gammaln
 
 from fockforge import (
     Cutoff,
@@ -214,6 +214,13 @@ class TestPerelomovSu2:
         k = perelomov_su2(z, SpinJ(two_j))
         assert abs(k.norm - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("two_j", [1030, 2000, 5000])
+    def test_large_spin_stays_finite_and_normalized(self, two_j):
+        # C(2J, n) overflows a float past 2J = 1029; the amplitudes must not
+        k = perelomov_su2(PolarParam.from_polar(0.7, 0.4), SpinJ(two_j))
+        assert np.all(np.isfinite(k.amplitudes))
+        assert abs(k.norm - 1.0) <= 1e-12
+
 
 class TestPerelomovSu11:
     def test_zero_gives_lowest_weight(self):
@@ -261,6 +268,39 @@ class TestPerelomovSu11:
             + n_max * math.log(math.tanh(15.0))
         )
         assert abs(log_amp - math.log(PERELOMOV_AMPLITUDE_BOUND)) < 1e-6
+
+    @pytest.mark.parametrize("two_k", [300, 600])
+    def test_large_spin_stays_finite_and_normalized(self, two_k):
+        # C(2K - 1 + n, n) overflows a float here; the tail past n_max 3000 is
+        # far below 1e-12
+        k = perelomov_su11(PolarParam.from_polar(0.5, 0.4), SpinK(two_k, Cutoff(3000)))
+        assert np.all(np.isfinite(k.amplitudes))
+        assert abs(k.norm - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("two_k", [0.5, 1.0, 1.5, 4.0])
+    def test_adequate_cutoff_matches_beta_function_route(self, two_k):
+        # the same bisection on log C(2K - 1 + n, n) = -log(2K + n) - log B(2K, n + 1);
+        # past |z| ~ 15 one ulp of the log moves the crossing by 1e-15 of n
+        log_bound = math.log(PERELOMOV_AMPLITUDE_BOUND)
+        for z_abs in np.linspace(0.05, 19.0, 80):
+            rate, log_sech = math.log(math.tanh(z_abs)), -math.log(math.cosh(z_abs))
+
+            def below(n):
+                log_binom = -math.log(two_k + n) - betaln(two_k, n + 1)
+                return 0.5 * log_binom + two_k * log_sech + n * rate < log_bound
+
+            lo = max(0, math.ceil(two_k * math.sinh(z_abs) ** 2 - math.cosh(z_abs) ** 2))
+            hi = lo + 1
+            while not below(hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if below(mid) else (mid, hi)
+            got = su11_adequate_cutoff(z_abs, two_k)
+            if z_abs <= 15.0:
+                assert got == hi
+            else:
+                assert got == pytest.approx(hi, rel=1e-14)
 
     def test_unresolvable_modulus_is_value_error(self):
         # tanh|z| rounds to 1.0 past |z| ~ 19.06, so no cutoff is adequate
