@@ -272,14 +272,18 @@ def check_squeeze_conjugation(
     tol = DEFAULT_TOLERANCES.identity_residual if tolerance is None else tolerance
     _guard_cosh(epsilon.modulus, "epsilon")
 
-    a = annihilation(cutoff).entries
-    ad = a.conj().T
-    s = squeeze(epsilon, cutoff).entries
+    # S's safe rows from its parity chains alone; single-mode safe indices
+    # are the occupations 0 ... cap, so a flat index is also its row
     keep = safe_indices(cutoff, margin, modes=1)
-    rhs = math.cosh(epsilon.modulus) * a - cmath.exp(1j * epsilon.phase) * math.sinh(
+    rows = np.zeros((keep.size, cutoff.dim), dtype=complex)
+    for at, index, block_rows in safe_rows("su11", epsilon, cutoff, keep, modes=1):
+        rows[np.ix_(at, index)] = block_rows
+    a = annihilation(cutoff).entries
+    a_safe = a[np.ix_(keep, keep)]
+    rhs = math.cosh(epsilon.modulus) * a_safe - cmath.exp(1j * epsilon.phase) * math.sinh(
         epsilon.modulus
-    ) * ad
-    residuals = {"a_conjugation": _conjugation_residual(s[keep], a, rhs[np.ix_(keep, keep)])}
+    ) * a_safe.conj().T
+    residuals = {"a_conjugation": _conjugation_residual(rows, a, rhs)}
     return make_report(
         "check_squeeze_conjugation", (epsilon,), cutoff, margin, residuals, {}, tol
     )

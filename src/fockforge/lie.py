@@ -293,10 +293,10 @@ def sector_operator(algebra: str, kappa: PolarParam, cutoff: Cutoff, modes: int 
 
 
 def safe_rows(
-    algebra: str, kappa: PolarParam, cutoff: Cutoff, keep: np.ndarray
+    algebra: str, kappa: PolarParam, cutoff: Cutoff, keep: np.ndarray, modes: int = 2
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Rows ``keep`` of the two-mode exp(kappa X+ - conj(kappa) X-), chain by
-    chain, from the chains that meet ``keep`` only.
+    """Rows ``keep`` of the one- or two-mode exp(kappa X+ - conj(kappa) X-),
+    chain by chain, from the chains that meet ``keep`` only.
 
     Each entry is ``(at, index, rows)``: ``index`` the chain's flat indices in
     chain order, ``at`` those of them in ``keep``, and ``rows`` the dense
@@ -305,10 +305,10 @@ def safe_rows(
     chains through ``keep`` lie inside it; the su11 chains through it run on
     up to the cutoff.
     """
-    inside = np.zeros(cutoff.dim ** 2, dtype=bool)
+    inside = np.zeros(cutoff.dim ** modes, dtype=bool)
     inside[keep] = True
     out = []
-    for block in sector_blocks(algebra, kappa, cutoff, meets=keep):
+    for block in sector_blocks(algebra, kappa, cutoff, modes, meets=keep):
         hit = inside[block.index]
         left = block.phase[hit, None] * block.vectors[hit] * block.spectrum
         rows = left @ (block.vectors.T * block.phase.conj())

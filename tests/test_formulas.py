@@ -190,6 +190,24 @@ class TestSqueezeConjugation:
         with pytest.raises(ValueError):
             check_squeeze_conjugation(PolarParam.from_value(1.9))
 
+    @pytest.mark.parametrize(
+        "eps, cutoff, margin",
+        [((0.05, 0.0), None, None), ((0.69, 1.1), None, None), ((0.8, 0.3), Cutoff(16), 2),
+         ((1.2, -2.0), Cutoff(40), 20)],
+    )
+    def test_matches_dense_squeeze_route(self, eps, cutoff, margin):
+        # the safe rows of S from its parity chains give the residual that
+        # the whole dense squeeze gives
+        eps = PolarParam.from_polar(*eps)
+        rep = check_squeeze_conjugation(eps, cutoff, margin)
+        cut = cutoff or fockforge.formulas.SQUEEZE_CONJUGATION_CUTOFF
+        keep = safe_indices(cut, rep.margin, modes=1)
+        a = annihilation(cut).entries
+        s = fockforge.states.squeeze(eps, cut).entries[keep]
+        rhs = math.cosh(eps.modulus) * a - np.exp(1j * eps.phase) * math.sinh(eps.modulus) * a.conj().T
+        dense = np.linalg.norm(s @ a @ s.conj().T - rhs[np.ix_(keep, keep)])
+        assert rep.residuals["a_conjugation"] == pytest.approx(dense, rel=1e-12, abs=1e-16)
+
 
 class TestSDS:
     def test_zero_squeeze_trivial(self):

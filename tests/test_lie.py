@@ -293,6 +293,19 @@ class TestSectorKernel:
         rows = _assembled_rows(safe_rows(algebra, kappa, cut, keep), cut, keep)
         assert np.abs(rows - builder(kappa, cut).entries[keep]).max() <= 1e-13
 
+    @pytest.mark.parametrize("algebra", ["hw", "su11"])
+    @pytest.mark.parametrize("n_max, margin", [(1, 0), (8, 3), (40, 28), (144, 132)])
+    def test_single_mode_safe_rows_match_dense_builder(self, algebra, n_max, margin):
+        cut = Cutoff(n_max)
+        keep = safe_indices(cut, margin, modes=1)
+        kappa = PolarParam.from_polar(0.7, -1.2)
+        rows = np.zeros((keep.size, cut.dim), dtype=complex)
+        for at, index, chain_rows in safe_rows(algebra, kappa, cut, keep, modes=1):
+            assert chain_rows.shape == (at.size, index.size) and np.isin(at, index).all()
+            rows[np.ix_(at, index)] = chain_rows
+        dense = sector_operator(algebra, kappa, cut, modes=1).entries[keep]
+        assert np.abs(rows - dense).max() <= 1e-13
+
     @pytest.mark.parametrize("algebra", ["su2", "su11"])
     @pytest.mark.parametrize("margin", [0, 2, 5])
     def test_safe_rows_at_zero_are_identity_rows(self, algebra, margin):
