@@ -10,15 +10,12 @@ from .fock import (
     PolarParam,
     adequate_cutoff,
     annihilation,
-    conjugate_by,
     dagger,
     expm,
     identity,
     number,
     poisson_tail,
-    residual,
     safe_indices,
-    safe_projector,
     tensor,
     tensor_ket,
 )
@@ -42,7 +39,6 @@ from .lie import (
     single_mode_su11,
     su2_generators,
     su11_generators,
-    two_mode_squeezer_UK,
 )
 from .protocols import (
     TwoModeProtocolResult,
@@ -58,13 +54,11 @@ from .states import (
     coherent_with_deficit,
     displacement,
     fidelity,
-    number_state,
     occupation_expectations,
     perelomov_su2,
     perelomov_su11,
     phase_rotation,
     squeeze,
-    squeezed_coherent,
     su11_adequate_cutoff,
     vacuum,
 )

@@ -52,6 +52,9 @@ from .states import coherent, fidelity, perelomov_su11, squeeze, vacuum
 from .universal_swap import cnot_factorization, no_cloning_witness, swap_matrix, apply_swap
 
 ENV_NMAX = "FOCKFORGE_NMAX"
+# a ket holds n_max + 1 complex amplitudes and no array holds more than
+# sys.maxsize bytes, so no larger cutoff can be built
+MAX_NMAX = sys.maxsize // np.dtype(complex).itemsize - 1
 DEFAULT_TOL = 1e-6
 DEFAULT_SEED = 7
 VERIFY_DRAWS = 3
@@ -102,6 +105,8 @@ def _build_config(args) -> RunConfig:
                 raise ConfigError(f"{ENV_NMAX} must be an integer, got {env!r}")
     if n_max is not None and n_max < 1:
         raise ConfigError(f"{source} must be >= 1, got {n_max}")
+    if n_max is not None and n_max > MAX_NMAX:
+        raise ConfigError(f"{source} must be at most {MAX_NMAX}")
     margin = None
     if args.margin is not None and args.margin != "auto":
         try:

@@ -10,12 +10,10 @@ from dataclasses import dataclass
 class Tolerances:
     """Tolerance bundle shared by every verification routine.
 
-    unitarity        : Frobenius bound on U†U - I for operators meant to be unitary.
     identity_residual: bound on projected Frobenius residuals of operator identities.
     fidelity_deficit : bound on 1 - fidelity for state-level comparisons.
     """
 
-    unitarity: float = 1e-10
     identity_residual: float = 1e-8
     fidelity_deficit: float = 1e-6
 

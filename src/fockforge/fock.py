@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, TAIL_BOUND
+from .config import TAIL_BOUND
 
 
 class CutoffWarning(UserWarning):
@@ -280,9 +280,10 @@ def _expm_array(g: np.ndarray) -> np.ndarray:
     scaling and squaring (Higham 2005); raises on non-finite entries in the
     generator or in its exponential.
 
-    Its only production caller is ``states.coherent_with_deficit``;
-    ``fockforge.lie`` exponentiates the displacement, the squeezes and the
-    two-mode unitaries chain by chain.
+    No command calls it: ``fockforge.lie`` exponentiates the displacement, the
+    coherent states, the squeezes and the two-mode unitaries chain by chain.
+    It is the tests' unsplit dense route, kept here, and bound in ``states``,
+    for the traced benchmark, which wraps it by name.
     """
     if not np.all(np.isfinite(g)):
         raise ValueError("generator has non-finite entries")
@@ -308,19 +309,9 @@ def _expm_array(g: np.ndarray) -> np.ndarray:
 
 
 def expm(g: Operator) -> Operator:
-    """Matrix exponential of an operator; raises on non-finite entries.  Only
-    the tests call it: ``states.coherent_with_deficit`` calls ``_expm_array``."""
+    """Matrix exponential of an operator; raises on non-finite entries.  No
+    command calls it: it is the tests' dense route (see ``_expm_array``)."""
     return Operator(_expm_array(np.asarray(g.entries)), g.modes, g.cutoff)
-
-
-def conjugate_by(u: Operator, a: Operator, unitarity_tol: float | None = None) -> Operator:
-    """U A U† for unitary U; rejects U that fails the unitarity tolerance."""
-    u._check_compatible(a)
-    tol = DEFAULT_TOLERANCES.unitarity if unitarity_tol is None else unitarity_tol
-    defect = np.linalg.norm(u.entries.conj().T @ u.entries - np.eye(u.dim), "fro")
-    if defect > tol:
-        raise ValueError(f"conjugating operator is not unitary (defect {defect:.2e})")
-    return Operator(u.entries @ a.entries @ u.entries.conj().T, u.modes, u.cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +338,6 @@ def safe_indices(cutoff: Cutoff, margin: int, modes: int = 1) -> np.ndarray:
         total = flat // d + flat % d
         return np.nonzero(total <= cap)[0]
     raise ValueError("modes must be 1 or 2")
-
-
-def safe_projector(cutoff: Cutoff, margin: int, modes: int = 1) -> Operator:
-    """Orthogonal projector onto the safe subspace (see safe_indices)."""
-    dim = cutoff.dim ** modes
-    diag = np.zeros(dim)
-    diag[safe_indices(cutoff, margin, modes)] = 1.0
-    return Operator(np.diag(diag).astype(complex), modes, cutoff)
-
-
-def residual(a: Operator, b: Operator, margin: int) -> float:
-    """Frobenius norm of P (A - B) P with P the safe projector at ``margin``.
-
-    Computed by slicing the safe block directly, which is identical to the
-    projected norm for a 0/1 diagonal projector.
-    """
-    a._check_compatible(b)
-    keep = safe_indices(a.cutoff, margin, a.modes)
-    block = (a.entries - b.entries)[np.ix_(keep, keep)]
-    return float(np.linalg.norm(block, "fro"))
 
 
 # ---------------------------------------------------------------------------

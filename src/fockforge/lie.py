@@ -338,14 +338,6 @@ def beamsplitter_UJ(kappa: PolarParam, cutoff: Cutoff) -> Operator:
     return sector_operator("su2", kappa, cutoff)
 
 
-def two_mode_squeezer_UK(kappa: PolarParam, cutoff: Cutoff) -> Operator:
-    """Two-mode unitary exp(kappa a1†a2† - conj(kappa) a2a1), the su(1,1)
-    boost exp(kappa K+ - conj(kappa) K-) of the Schwinger realization,
-    assembled from its fixed-(n1 - n2) sectors; creates and destroys photon
-    pairs, preserving the occupation difference.  Guarded by the cosh bound."""
-    return sector_operator("su11", kappa, cutoff)
-
-
 def single_mode_su11(cutoff: Cutoff) -> LieTriple:
     """Quadratic realization K+ = a†a†/2, K3 = (a†a + 1/2)/2.
 

@@ -8,6 +8,9 @@ import warnings
 import numpy as np
 
 from .config import PERELOMOV_AMPLITUDE_BOUND
+
+# _expm_array is bound here only because perfbench/run.py install_layers wraps
+# its bindings outside fockforge.fock; no code in this package calls it
 from .fock import (
     Cutoff,
     CutoffWarning,
@@ -17,26 +20,15 @@ from .fock import (
     _STIRLING_FROM,
     _expm_array,
     _stirling_series,
-    annihilation,
-    dagger,
     tail_warning,
 )
-from .lie import SpinJ, SpinK, sector_operator
+from .lie import SpinJ, SpinK, sector_blocks, sector_operator
 
 
 def vacuum(cutoff: Cutoff, modes: int = 1) -> Ket:
     amps = np.zeros(cutoff.dim ** modes, dtype=complex)
     amps[0] = 1.0
     return Ket(amps, modes, cutoff, normalized=True)
-
-
-def number_state(n: int, cutoff: Cutoff) -> Ket:
-    """Occupation eigenstate |n>, equal to (a†)^n/sqrt(n!) acting on vacuum."""
-    if not 0 <= n <= cutoff.n_max:
-        raise ValueError(f"occupation {n} outside [0, {cutoff.n_max}]")
-    amps = np.zeros(cutoff.dim, dtype=complex)
-    amps[n] = 1.0
-    return Ket(amps, 1, cutoff, normalized=True)
 
 
 def displacement(alpha: PolarParam, cutoff: Cutoff) -> Operator:
@@ -47,7 +39,8 @@ def displacement(alpha: PolarParam, cutoff: Cutoff) -> Operator:
 
 
 def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float]:
-    """Displaced vacuum, renormalized, plus the recorded truncation deficit.
+    """Displaced vacuum, column 0 of the Heisenberg-Weyl chain's D(alpha),
+    renormalized, plus the recorded truncation deficit.
 
     The truncated displacement stays exactly unitary, so the lost amplitude
     shows up as distortion rather than norm loss; the deficit is therefore
@@ -57,16 +50,14 @@ def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float
     # the closed form goes first: it rejects an amplitude too large to square
     deficit = abs(1.0 - coherent_series(alpha, cutoff).norm)
     tail_warning(alpha.modulus, cutoff, context="displacement")
-    # dense on purpose: perfbench keeps every protocol output for the whole run, so
-    # faster states mean more kept outputs.  Taken from the Heisenberg-Weyl chain
-    # with scipy still imported, they quadrupled protocols_large_alpha's operations
-    # and took its peak RSS from 89.7 to 133.4 MB, past its 10 % bound; without
-    # scipy the same move read 82-87 MB at 1224-1377 operations, against 87-90 MB
-    # before, too thin a margin to rest on (ROADMAP items 1 and 2).
-    a = annihilation(cutoff)
-    gen = alpha.value * dagger(a) - alpha.conj * a
-    raw = Ket(_expm_array(gen.entries)[:, 0], 1, cutoff)
-    return raw.normalize(), deficit
+    (block,) = sector_blocks("hw", alpha, cutoff, modes=1)
+    # entry k of W e^{-i|alpha| mu} W^T e_0 is (-i)^k times a real number, the
+    # chain having a zero diagonal: its i^k is applied exactly and the real part
+    # kept, so that a positive alpha gives an exactly real state
+    k = np.arange(cutoff.dim)
+    column = block.vectors @ (block.spectrum * block.vectors[0])
+    real = (np.array([1, 1j, -1, -1j])[k % 4] * column).real
+    return Ket(real * np.exp(1j * alpha.phase * k), 1, cutoff).normalize(), deficit
 
 
 def coherent(alpha: PolarParam, cutoff: Cutoff) -> Ket:
@@ -212,12 +203,6 @@ def perelomov_su11(z: PolarParam, spin: SpinK) -> Ket:
         - two_k * math.log(math.cosh(r))
     )
     return Ket(np.exp(log_mag) * np.exp(1j * z.phase * n), 1, spin.cutoff, normalized=False)
-
-
-def squeezed_coherent(beta: PolarParam, alpha: PolarParam, cutoff: Cutoff) -> Ket:
-    """S(beta) D(alpha) |0>, renormalized after truncation."""
-    displaced = displacement(alpha, cutoff).apply(vacuum(cutoff))
-    return squeeze(beta, cutoff).apply(displaced).normalize()
 
 
 def fidelity(x: Ket, y: Ket) -> float:

@@ -33,6 +33,17 @@ class TestConfigValidation:
         code, _, _ = run(["verify-all", "--nmax", "0"], capsys)
         assert code == 2
 
+    def test_oversize_nmax_is_config_error(self, capsys, monkeypatch):
+        # 10**400 does not convert to a float; no cutoff past MAX_NMAX fits an array
+        huge = str(10**400)
+        code, out, err = run(["swap", "--a1", "1,0", "--a2", "0,1", "--nmax", huge], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --nmax must be at most {fockforge.cli.MAX_NMAX}\n"
+        monkeypatch.setenv("FOCKFORGE_NMAX", huge)
+        code, _, err = run(["clone", "--alpha", "1,0"], capsys)
+        assert code == 2
+        assert err == f"error: FOCKFORGE_NMAX must be at most {fockforge.cli.MAX_NMAX}\n"
+
     def test_margin_exceeding_nmax_is_config_error(self, capsys):
         code, _, _ = run(["swap", "--a1", "1,0", "--a2", "0,1", "--nmax", "8", "--margin", "9"], capsys)
         assert code == 2
@@ -90,12 +101,12 @@ class TestConfigValidation:
         ids=["swap-1e20", "clone-1e20", "swap-1e150", "clone-1e150"],
     )
     def test_non_finite_displacement_is_config_error(self, argv, capsys):
-        # |alpha|^2 fits a float, but the dense displacement overflows
+        # |alpha|^2 fits a float, but no float resolves the phases of D(alpha)'s chain
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert err.startswith("error: ") and "non-finite" in err
+        assert err.startswith("error: ") and "a float cannot resolve the chain phases" in err
 
 
 @pytest.mark.parametrize("angle", ["1e6", "1e15", "1e300"])
@@ -500,7 +511,7 @@ def test_commands_run_without_scipy(capsys):
         ["clone", "--alpha", "0.9,-0.2"],
         ["sweep", "--check", "check_squeeze_conjugation", "--values", "0.8", "--nmax", "16",
          "--margin", "2"],  # fails its tolerance: exit 1
-        ["swap", "--a1", "1e20,0", "--a2", "0,1"],  # the dense displacement overflows: exit 2
+        ["swap", "--a1", "1e20,0", "--a2", "0,1"],  # no float resolves the chain phases: exit 2
     ]
     commands += [
         ["sweep", "--check", c.name, "--values", "0.3,0.6"] for c in FORMULA_CHECKS + PROTOCOL_CHECKS

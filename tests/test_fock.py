@@ -15,19 +15,17 @@ from fockforge import (
     PolarParam,
     adequate_cutoff,
     annihilation,
-    conjugate_by,
     dagger,
     expm,
     identity,
     number,
     poisson_tail,
-    residual,
-    safe_projector,
     tensor,
     tensor_ket,
 )
 from fockforge.fock import _expm_array, safe_indices
 from fockforge.states import displacement, phase_rotation
+from second_routes import conjugate_by, residual, safe_projector
 
 
 parts = st.floats(-1e307, 1e307)

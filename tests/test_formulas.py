@@ -12,6 +12,7 @@ import fockforge.states
 from fockforge import (
     Cutoff,
     PolarParam,
+    apply_beamsplitter,
     check_J_rotation,
     check_K_rotation,
     check_SDS,
@@ -19,17 +20,19 @@ from fockforge import (
     check_UJ_squeeze_invariance,
     check_phase_formula,
     check_squeeze_conjugation,
-    conjugate_by,
     displacement,
     expm,
+    full_swap,
     identity,
-    residual,
+    imperfect_clone,
     squeeze_pair_exponent_coefficients,
     tensor,
 )
+from fockforge.cli import PROTOCOL_CHECKS, main
 from fockforge.fock import annihilation, dagger, safe_indices
 from fockforge.formulas import _restricted_conjugation, _sinc, _sinhc
 from fockforge.lie import sector_blocks
+from second_routes import conjugate_by, residual
 
 RNG = np.random.default_rng(23)
 
@@ -240,15 +243,34 @@ class TestSDS:
             check_SDS(PolarParam.from_value(0.3), PolarParam.from_value(1e20))
 
 
+def refuse_dense_expm(monkeypatch):
+    def refuse(g):
+        raise AssertionError("dense matrix exponential called")
+
+    for module in (fockforge.fock, fockforge.states):
+        monkeypatch.setattr(module, "_expm_array", refuse)
+
+
 class TestNoDenseDisplacement:
     def test_single_mode_displacement_checks_avoid_dense_expm(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("dense matrix exponential called")
-
-        for module in (fockforge.fock, fockforge.states):
-            monkeypatch.setattr(module, "_expm_array", refuse)
+        refuse_dense_expm(monkeypatch)
         assert check_SDS(PolarParam.from_polar(0.4, 1.1), PolarParam.from_polar(0.8, 0.55)).passed
         assert check_phase_formula(0.9, PolarParam.from_value(1.2 - 0.4j)).passed
+
+    def test_protocols_avoid_dense_expm(self, monkeypatch):
+        refuse_dense_expm(monkeypatch)
+        a1, a2 = PolarParam.from_value(1.2 + 0.3j), PolarParam.from_polar(0.4, 1.0)
+        assert full_swap(a1, a2, 0.7).report.passed
+        assert imperfect_clone(a1).report.passed
+        assert apply_beamsplitter(a1, a2, PolarParam.from_polar(0.6, -0.4)).report.passed
+
+    def test_commands_avoid_dense_expm(self, monkeypatch):
+        # every command exits as it does with the dense exponential in place
+        commands = [["verify-all", "--seed", "7"]]
+        commands += [["sweep", "--check", c.name, "--values", "0.3,0.6"] for c in PROTOCOL_CHECKS]
+        want = [main(argv) for argv in commands]
+        refuse_dense_expm(monkeypatch)
+        assert [main(argv) for argv in commands] == want
 
 
 class TestSSSCommute:

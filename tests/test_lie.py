@@ -22,7 +22,6 @@ from fockforge import (
     single_mode_su11,
     su2_generators,
     su11_generators,
-    two_mode_squeezer_UK,
 )
 from fockforge.cli import RunConfig, _lie_reports, main
 from fockforge.config import COSH_GUARD, DEFAULT_TOLERANCES, TAIL_BOUND
@@ -36,6 +35,7 @@ from fockforge.lie import (
     solve_each_chain_once,
 )
 from fockforge.states import coherent_series, vacuum
+from second_routes import two_mode_squeezer_UK
 from test_acceptance import _closure
 
 BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}

@@ -26,12 +26,10 @@ from fockforge import (
     identity,
     imperfect_clone,
     number,
-    residual,
     squeeze,
     squeezed_swap_obstruction,
     tensor,
     tensor_ket,
-    two_mode_squeezer_UK,
     vacuum,
 )
 from fockforge.config import COSH_GUARD
@@ -39,6 +37,7 @@ from fockforge.fock import safe_indices
 from fockforge.formulas import _hyperbolic_margin, squeeze_pair_exponent_coefficients
 from fockforge.lie import apply_sectors
 from fockforge.protocols import _gaussian_exponential, _obstruction_blocks
+from second_routes import residual, two_mode_squeezer_UK
 
 RNG = np.random.default_rng(31)
 
