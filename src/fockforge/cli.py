@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import Cutoff, CutoffWarning, Ket, PolarParam, safe_indices
+from .fock import MAX_NMAX, Cutoff, CutoffWarning, Ket, PolarParam, safe_indices
 from .formulas import (
     check_J_rotation,
     check_K_rotation,
@@ -52,9 +52,6 @@ from .states import coherent, fidelity, perelomov_su11, squeeze, vacuum
 from .universal_swap import cnot_factorization, no_cloning_witness, swap_matrix, apply_swap
 
 ENV_NMAX = "FOCKFORGE_NMAX"
-# a ket holds n_max + 1 complex amplitudes and no array holds more than
-# sys.maxsize bytes, so no larger cutoff can be built
-MAX_NMAX = sys.maxsize // np.dtype(complex).itemsize - 1
 DEFAULT_TOL = 1e-6
 DEFAULT_SEED = 7
 VERIFY_DRAWS = 3

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,11 @@ class CutoffWarning(UserWarning):
     """A requested amplitude is too large for the chosen truncation level."""
 
 
+# a ket holds n_max + 1 complex amplitudes and no array holds more than
+# sys.maxsize bytes, so no larger cutoff can be built
+MAX_NMAX = sys.maxsize // np.dtype(complex).itemsize - 1
+
+
 @dataclass(frozen=True)
 class Cutoff:
     """Fock truncation level; the retained space has dimension n_max + 1."""
@@ -31,6 +37,8 @@ class Cutoff:
     def __post_init__(self):
         if not isinstance(self.n_max, int) or self.n_max < 1:
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        if self.n_max > MAX_NMAX:
+            raise ValueError(f"n_max must be at most {MAX_NMAX}, got {self.n_max}")
 
     @property
     def dim(self) -> int:
@@ -414,21 +422,21 @@ def poisson_tail(alpha_abs: float, n_max: int) -> float:
     return min(1.0, max(0.0, tail))
 
 
-def adequate_cutoff(alpha_abs: float, tail_bound: float = TAIL_BOUND) -> int:
-    """Smallest n_max whose Poisson tail for |alpha| stays below tail_bound."""
+def adequate_cutoff(alpha_abs: float) -> int:
+    """Smallest n_max whose Poisson tail for |alpha| stays below TAIL_BOUND."""
     n = max(1, math.ceil(alpha_abs * alpha_abs))
-    while poisson_tail(alpha_abs, n) >= tail_bound:
+    while poisson_tail(alpha_abs, n) >= TAIL_BOUND:
         n += 1
     return n
 
 
-def tail_warning(alpha_abs: float, cutoff: Cutoff, context: str = "") -> None:
-    """Raise a CutoffWarning if the cutoff violates the tail rule."""
+def tail_warning(alpha_abs: float, cutoff: Cutoff, context: str) -> None:
+    """Raise a CutoffWarning, naming ``context``, if the cutoff violates the tail rule."""
     tail = poisson_tail(alpha_abs, cutoff.n_max)
     if tail < TAIL_BOUND:
         return
     msg = (
-        f"cutoff inadequate{f' for {context}' if context else ''}: "
+        f"cutoff inadequate for {context}: "
         f"|alpha|={alpha_abs:.4g} leaves Poisson tail {tail:.2e} above n_max={cutoff.n_max}"
     )
     warnings.warn(msg, CutoffWarning, stacklevel=3)

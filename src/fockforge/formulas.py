@@ -116,20 +116,19 @@ def _chain_pair_residuals(chains, cutoff: Cutoff, sides) -> list[float]:
     owner = np.full(cutoff.dim ** 2, -1)
     for number, (_, index, _) in enumerate(chains):
         owner[index] = number
-    inside = [np.isin(index, at) for at, index, _ in chains]
     mode, step = sides[0][0]
     shift = step * (cutoff.dim if mode == 0 else 1)
     needed = {conjugated for conjugated, _ in sides}
     needed |= {term for _, expected in sides for _, term in expected}
     totals = [0.0] * len(sides)
-    for source, (_, index_s, rows_s) in enumerate(chains):
+    for source, (hit_s, index_s, rows_s) in enumerate(chains):
         moved = np.divmod(index_s, cutoff.dim)[mode] + step
         valid = (moved >= 0) & (moved <= cutoff.n_max)
         target = owner[index_s[valid][0] + shift] if valid.any() else -1
         if target < 0:  # the ladders empty this chain, or map it onto one that misses the safe block
             continue
-        _, index_t, rows_t = chains[target]
-        safe = np.ix_(inside[target], inside[source])
+        hit_t, index_t, rows_t = chains[target]
+        safe = np.ix_(hit_t, hit_s)
         blocks = {ladder: _ladder_between(ladder, cutoff, index_t, index_s) for ladder in needed}
         for k, (conjugated, expected) in enumerate(sides):
             lhs = _restricted_conjugation(rows_t, blocks[conjugated], rows_s)
@@ -151,8 +150,8 @@ def _conjugated_squeeze_pair(
     pos = np.full(cutoff.dim ** 2, -1)
     pos[keep] = np.arange(keep.size)
     u = np.zeros((keep.size, keep.size), dtype=complex)
-    for at, index, rows in safe_rows("su2", t, cutoff, keep):
-        u[np.ix_(pos[at], pos[index])] = rows
+    for hit, index, rows in safe_rows("su2", t, cutoff, keep):
+        u[np.ix_(pos[index[hit]], pos[index])] = rows
     i1, i2 = np.divmod(keep, cutoff.dim)
     s1 = squeeze(alpha, cutoff).entries
     s2 = squeeze(beta, cutoff).entries
@@ -276,8 +275,8 @@ def check_squeeze_conjugation(
     # are the occupations 0 ... cap, so a flat index is also its row
     keep = safe_indices(cutoff, margin, modes=1)
     rows = np.zeros((keep.size, cutoff.dim), dtype=complex)
-    for at, index, block_rows in safe_rows("su11", epsilon, cutoff, keep, modes=1):
-        rows[np.ix_(at, index)] = block_rows
+    for hit, index, block_rows in safe_rows("squeeze", epsilon, cutoff, keep):
+        rows[np.ix_(index[hit], index)] = block_rows
     a = annihilation(cutoff).entries
     a_safe = a[np.ix_(keep, keep)]
     rhs = math.cosh(epsilon.modulus) * a_safe - cmath.exp(1j * epsilon.phase) * math.sinh(
@@ -314,14 +313,16 @@ def check_SDS(
     # The displacements come from the Heisenberg-Weyl chain, whose chain
     # positions are the occupations 0 ... n_max.
     s = squeeze(epsilon, cutoff).entries
-    d = sector_operator("hw", alpha, cutoff, modes=1).entries
+    d = sector_operator("hw", alpha, cutoff).entries
     predicted = (
         math.cosh(epsilon.modulus) * alpha.value
         + cmath.exp(1j * epsilon.phase) * math.sinh(epsilon.modulus) * alpha.conj
     )
     keep = safe_indices(cutoff, margin, modes=1)
-    (d_pred,) = sector_blocks("hw", PolarParam.from_value(predicted), cutoff, modes=1)
-    residuals = {"displacement_conjugation": _conjugation_residual(s[keep], d, d_pred.matrix(keep))}
+    (d_pred,) = sector_blocks("hw", PolarParam.from_value(predicted), cutoff)
+    residuals = {
+        "displacement_conjugation": _conjugation_residual(s[keep], d, d_pred.matrix(keep, keep))
+    }
 
     # Phase-locked special cases, verified on states; fidelity renormalizes.
     vac = vacuum(cutoff).amplitudes
@@ -333,7 +334,7 @@ def check_SDS(
         locked = PolarParam.from_polar(epsilon.modulus, 2 * alpha.phase + offset)
         s_locked = squeeze(locked, cutoff).entries
         out = s_locked @ (d @ (s_locked.conj().T @ vac))
-        (d_target,) = sector_blocks("hw", PolarParam.from_value(scale * alpha.value), cutoff, modes=1)
+        (d_target,) = sector_blocks("hw", PolarParam.from_value(scale * alpha.value), cutoff)
         fidelities[key] = fidelity(Ket(out, 1, cutoff), Ket(d_target.apply(vac), 1, cutoff))
 
     return make_report(

@@ -2,10 +2,10 @@
 
 Includes the two-mode (Schwinger boson) realizations and the single-mode
 quadratic realization of su(1,1), all as dense matrices on truncated spaces,
-and the sector kernel that exponentiates these realizations one conserved
-chain at a time, whole, on a ket, or on the rows of a safe block.  The
-kernel also carries the Heisenberg-Weyl chain X+ = a†, whose exponential is
-the displacement D(alpha) = exp(alpha a† - conj(alpha) a).  Inside
+and the sector kernel that exponentiates four realizations one conserved
+chain at a time, whole, on a ket, or on the rows of a safe block: "hw", the
+Heisenberg-Weyl X+ = a†, whose exponential is the displacement; "squeeze",
+K+ = a†a†/2; and Schwinger's "su2", J+ = a1†a2, and "su11", K+ = a1†a2†.  Inside
 ``solve_each_chain_once`` every distinct chain is diagonalized once.
 """
 
@@ -144,61 +144,62 @@ class SectorBlock:
     vectors: np.ndarray
     spectrum: np.ndarray
 
-    def matrix(self, keep: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """The block as a dense matrix, or only its [keep, keep] sub-block,
-        ``keep`` counting chain positions."""
-        phase, vectors = self.phase[keep], self.vectors[keep]
-        left = phase[:, None] * vectors * self.spectrum
-        return left @ (vectors.T * phase.conj())
+    def matrix(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Entries [rows, cols] of the block as a dense matrix, both counting
+        chain positions; by default the whole block."""
+        left = self.phase[rows, None] * self.vectors[rows] * self.spectrum
+        return left @ (self.vectors[cols].T * self.phase[cols].conj())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         w = self.vectors.T @ (self.phase.conj() * v)
         return self.phase * (self.vectors @ (self.spectrum * w))
 
 
-def sector_chains(
-    algebra: str, cutoff: Cutoff, modes: int = 2
-) -> Iterator[tuple[np.ndarray, ...]]:
+# each realization of the sector kernel and its number of modes
+MODES = {"hw": 1, "squeeze": 1, "su2": 2, "su11": 2}
+
+
+def _modes(realization: str) -> int:
+    if realization not in MODES:
+        raise ValueError(f"unknown realization {realization!r}: expected one of {', '.join(MODES)}")
+    return MODES[realization]
+
+
+def sector_chains(realization: str, cutoff: Cutoff) -> Iterator[tuple[np.ndarray, ...]]:
     """Conserved chains of a realization at this cutoff.
 
     Yields the chain's occupations, one array per mode, then ``ladder``, whose
     entry k is the X+ coefficient from chain position k to k+1.
 
-    Two modes (Schwinger realizations):
-      su2:  sectors N = n1 + n2 = 0 ... 2 n_max, ladder sqrt((n1+1) n2); a
-            sector with N > n_max is the truncated chain n1 in [N - n_max, n_max].
-      su11: sectors D = n1 - n2 = -n_max ... n_max, ladder sqrt((n1+1)(n2+1)).
-    One mode:
-      hw:   the Heisenberg-Weyl chain X+ = a†, one chain n = 0 ... n_max with
-            ladder sqrt(n+1); its exponential is the displacement.
-      su11: the quadratic realization K+ = a†a†/2, parity chains
-            n = p, p+2, ... <= n_max, ladder sqrt((n+1)(n+2))/2.
+      hw:      the Heisenberg-Weyl chain X+ = a†, one chain n = 0 ... n_max
+               with ladder sqrt(n+1); its exponential is the displacement.
+      squeeze: the single-mode su(1,1) K+ = a†a†/2, parity chains
+               n = p, p+2, ... <= n_max, ladder sqrt((n+1)(n+2))/2.
+      su2:     J+ = a1†a2, sectors N = n1 + n2 = 0 ... 2 n_max, ladder
+               sqrt((n1+1) n2); a sector with N > n_max is the truncated chain
+               n1 in [N - n_max, n_max].
+      su11:    K+ = a1†a2†, sectors D = n1 - n2 = -n_max ... n_max, ladder
+               sqrt((n1+1)(n2+1)).
     """
+    _modes(realization)
     n = cutoff.n_max
-    if modes == 1:
-        if algebra == "hw":
-            occ = np.arange(n + 1)
-            yield occ, np.sqrt(occ[:-1] + 1.0)
-            return
-        if algebra != "su11":
-            raise ValueError("the single-mode realizations are 'hw' and 'su11'")
+    if realization == "hw":
+        occ = np.arange(n + 1)
+        yield occ, np.sqrt(occ[:-1] + 1.0)
+    elif realization == "squeeze":
         for parity in (0, 1):
             occ = np.arange(parity, n + 1, 2)
             yield occ, 0.5 * np.sqrt((occ[:-1] + 1.0) * (occ[:-1] + 2.0))
-    elif modes != 2:
-        raise ValueError("modes must be 1 or 2")
-    elif algebra == "su2":
+    elif realization == "su2":
         for total in range(2 * n + 1):
             n1 = np.arange(max(0, total - n), min(total, n) + 1)
             n2 = total - n1
             yield n1, n2, np.sqrt((n1[:-1] + 1.0) * n2[:-1])
-    elif algebra == "su11":
+    else:
         for diff in range(-n, n + 1):
             n1 = np.arange(max(0, diff), n + min(0, diff) + 1)
             n2 = n1 - diff
             yield n1, n2, np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))
-    else:
-        raise ValueError("the two-mode realizations are 'su2' and 'su11'")
 
 
 # ladder bytes -> read-only (mu, W) of that chain; None outside solve_each_chain_once
@@ -220,11 +221,11 @@ def solve_each_chain_once() -> Iterator[None]:
         _chain_solves.reset(token)
 
 
-def eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_tridiagonal(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of the real
-    symmetric tridiagonal matrix with this diagonal and off-diagonal, from a
-    dense ``numpy.linalg.eigh``: a chain has at most n_max + 1 positions."""
-    return np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    symmetric tridiagonal matrix with a zero diagonal and this off-diagonal,
+    from a dense ``numpy.linalg.eigh``: a chain has at most n_max + 1 positions."""
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
 
 
 def _chain_eigensystem(ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +233,7 @@ def _chain_eigensystem(ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     solves, key = _chain_solves.get(), ladder.tobytes()
     if solves is not None and key in solves:
         return solves[key]
-    mu, w = eigh_tridiagonal(np.zeros(ladder.size + 1), ladder)
+    mu, w = eigh_tridiagonal(ladder)
     if solves is not None:
         mu.flags.writeable = w.flags.writeable = False
         solves[key] = mu, w
@@ -240,30 +241,22 @@ def _chain_eigensystem(ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sector_blocks(
-    algebra: str,
-    kappa: PolarParam,
-    cutoff: Cutoff,
-    modes: int = 2,
-    meets: np.ndarray | None = None,
+    realization: str, kappa: PolarParam, cutoff: Cutoff, meets: np.ndarray | None = None
 ) -> list[SectorBlock]:
     """The blocks of exp(kappa X+ - conj(kappa) X-), one per conserved chain,
-    or only the chains through the flat indices ``meets``; two-mode su(1,1)
-    parameters must pass the cosh guard.  kappa = 0 gives exact identity
-    blocks, with no eigensolve.  A chain's phases e^{-i |kappa| mu} carry an
-    error of about |kappa| max|mu| eps, eps the machine epsilon; past the
-    identity-residual tolerance this raises ValueError, since the block would
-    be finite and unitary but meaningless."""
-    if algebra == "su11" and modes == 2:
+    or only the chains through a flat index that the boolean mask ``meets``
+    sets; two-mode su(1,1) parameters must pass the cosh guard.  kappa = 0
+    gives exact identity blocks, with no eigensolve.  A chain's phases
+    e^{-i |kappa| mu} carry an error of about |kappa| max|mu| eps, eps the
+    machine epsilon; past the identity-residual tolerance this raises
+    ValueError, since the block would be finite and unitary but meaningless."""
+    if realization == "su11":
         _guard_cosh(kappa.modulus, "kappa")
     turn = kappa.phase + math.pi / 2
-    shape = (cutoff.dim,) * modes
-    if meets is not None:
-        hit = np.zeros(cutoff.dim ** modes, dtype=bool)
-        hit[meets] = True
     blocks = []
-    for *occ, ladder in sector_chains(algebra, cutoff, modes):
-        index = np.ravel_multi_index(tuple(occ), shape)
-        if meets is not None and not hit[index].any():
+    for *occ, ladder in sector_chains(realization, cutoff):
+        index = np.ravel_multi_index(tuple(occ), (cutoff.dim,) * len(occ))
+        if meets is not None and not meets[index].any():
             continue
         size = ladder.size + 1
         if kappa.modulus == 0.0:
@@ -275,7 +268,7 @@ def sector_blocks(
         phase_error = kappa.modulus * max(-mu[0], mu[-1]) * np.finfo(float).eps
         if phase_error > DEFAULT_TOLERANCES.identity_residual:
             raise ValueError(
-                f"{algebra} parameter |kappa| = {kappa.modulus:.4g} is too large: "
+                f"{realization} parameter |kappa| = {kappa.modulus:.4g} is too large: "
                 f"a float cannot resolve the chain phases at n_max={cutoff.n_max}"
             )
         phase = np.exp(1j * turn * np.arange(size))
@@ -283,47 +276,45 @@ def sector_blocks(
     return blocks
 
 
-def sector_operator(algebra: str, kappa: PolarParam, cutoff: Cutoff, modes: int = 2) -> Operator:
+def sector_operator(realization: str, kappa: PolarParam, cutoff: Cutoff) -> Operator:
     """Dense exp(kappa X+ - conj(kappa) X-) assembled from its sector blocks."""
-    dim = cutoff.dim ** modes
-    out = np.zeros((dim, dim), dtype=complex)
-    for block in sector_blocks(algebra, kappa, cutoff, modes):
+    modes = _modes(realization)
+    out = np.zeros((cutoff.dim ** modes,) * 2, dtype=complex)
+    for block in sector_blocks(realization, kappa, cutoff):
         out[np.ix_(block.index, block.index)] = block.matrix()
     return Operator(out, modes, cutoff)
 
 
 def safe_rows(
-    algebra: str, kappa: PolarParam, cutoff: Cutoff, keep: np.ndarray, modes: int = 2
+    realization: str, kappa: PolarParam, cutoff: Cutoff, keep: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Rows ``keep`` of the one- or two-mode exp(kappa X+ - conj(kappa) X-),
-    chain by chain, from the chains that meet ``keep`` only.
+    """Rows ``keep`` of exp(kappa X+ - conj(kappa) X-), chain by chain, from
+    the chains that meet ``keep`` only.
 
-    Each entry is ``(at, index, rows)``: ``index`` the chain's flat indices in
-    chain order, ``at`` those of them in ``keep``, and ``rows`` the dense
-    |at| x |index| rows of the chain's block there.  Every other entry of the
-    rows vanishes.  On a safe block (complete sectors n1 + n2 <= cap) the su2
-    chains through ``keep`` lie inside it; the su11 chains through it run on
-    up to the cutoff.
+    Each entry is ``(hit, index, rows)``: ``index`` the chain's flat indices in
+    chain order, ``hit`` the mask of the chain positions in ``keep``, and
+    ``rows`` the dense rows of the chain's block at ``index[hit]``, one column
+    per chain position.  Every other entry of the rows vanishes.  On a safe
+    block (complete sectors n1 + n2 <= cap) the su2 chains through ``keep``
+    lie inside it; the su11 chains through it run on up to the cutoff.
     """
-    inside = np.zeros(cutoff.dim ** modes, dtype=bool)
+    inside = np.zeros(cutoff.dim ** _modes(realization), dtype=bool)
     inside[keep] = True
     out = []
-    for block in sector_blocks(algebra, kappa, cutoff, modes, meets=keep):
+    for block in sector_blocks(realization, kappa, cutoff, meets=inside):
         hit = inside[block.index]
-        left = block.phase[hit, None] * block.vectors[hit] * block.spectrum
-        rows = left @ (block.vectors.T * block.phase.conj())
-        out.append((block.index[hit], block.index, rows))
+        out.append((hit, block.index, block.matrix(hit)))
     return out
 
 
-def apply_sectors(algebra: str, kappa: PolarParam, ket: Ket) -> Ket:
-    """exp(kappa X+ - conj(kappa) X-) applied to a two-mode ket chain by chain,
-    without forming the d^2 x d^2 matrix."""
-    if ket.modes != 2:
-        raise ValueError("apply_sectors acts on two-mode kets")
+def apply_sectors(realization: str, kappa: PolarParam, ket: Ket) -> Ket:
+    """exp(kappa X+ - conj(kappa) X-) of a two-mode realization applied to a
+    two-mode ket chain by chain, without forming the d^2 x d^2 matrix."""
+    if ket.modes != 2 or _modes(realization) != 2:
+        raise ValueError("apply_sectors applies a two-mode realization to a two-mode ket")
     amps = ket.amplitudes
     out = np.empty_like(amps)
-    for block in sector_blocks(algebra, kappa, ket.cutoff):
+    for block in sector_blocks(realization, kappa, ket.cutoff):
         out[block.index] = block.apply(amps[block.index])
     return Ket(out, 2, ket.cutoff)
 

@@ -35,7 +35,7 @@ def displacement(alpha: PolarParam, cutoff: Cutoff) -> Operator:
     """Unitary exp(alpha a† - conj(alpha) a) on the sector kernel's Heisenberg-Weyl
     chain, which rejects unresolvable phases; warns when the tail rule fails."""
     tail_warning(alpha.modulus, cutoff, context="displacement")
-    return sector_operator("hw", alpha, cutoff, modes=1)
+    return sector_operator("hw", alpha, cutoff)
 
 
 def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float]:
@@ -50,7 +50,7 @@ def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float
     # the closed form goes first: it rejects an amplitude too large to square
     deficit = abs(1.0 - coherent_series(alpha, cutoff).norm)
     tail_warning(alpha.modulus, cutoff, context="displacement")
-    (block,) = sector_blocks("hw", alpha, cutoff, modes=1)
+    (block,) = sector_blocks("hw", alpha, cutoff)
     # entry k of W e^{-i|alpha| mu} W^T e_0 is (-i)^k times a real number, the
     # chain having a zero diagonal: its i^k is applied exactly and the real part
     # kept, so that a positive alpha gives an exactly real state
@@ -90,7 +90,7 @@ def squeeze(z: PolarParam, cutoff: Cutoff) -> Operator:
     exp(z K+ - conj(z) K-) of the quadratic realization K+ = (a†)^2/2,
     assembled from its even and odd parity chains; z = 0 is the exact identity.
     """
-    return sector_operator("su11", z, cutoff, modes=1)
+    return sector_operator("squeeze", z, cutoff)
 
 
 def phase_factors(t: float, cutoff: Cutoff) -> np.ndarray:

@@ -65,6 +65,14 @@ class TestConfigValidation:
                 assert out == ""
                 assert "--delta" in err
 
+    def test_blocked_tail_at_huge_cutoff_is_config_error(self, capsys):
+        # the tail rule sums about 6.6e9 Poisson terms here in blocks; the
+        # command then runs out of memory building the state and exits 2
+        argv = ["swap", "--a1", "7e8,0", "--a2", "0,1", "--nmax", "490000000000000000"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory at this truncation; try a smaller --nmax\n"
+
     def test_out_of_memory_is_config_error(self, capsys, monkeypatch):
         # stands in for an oversize --nmax; no large array is ever allocated
         def exhausted(*args, **kwargs):

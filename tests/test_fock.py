@@ -23,7 +23,8 @@ from fockforge import (
     tensor,
     tensor_ket,
 )
-from fockforge.fock import _expm_array, safe_indices
+import fockforge.fock
+from fockforge.fock import _expm_array, _stirling_series, safe_indices
 from fockforge.states import displacement, phase_rotation
 from second_routes import conjugate_by, residual, safe_projector
 
@@ -53,6 +54,15 @@ class TestCutoff:
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             Cutoff(0)
+
+    def test_rejects_past_the_largest_array(self):
+        # np.arange(2**63 - 1) is empty in numpy 2.4, so an unchecked cutoff
+        # there would send coherent_series into an endless Python loop
+        bound = fockforge.fock.MAX_NMAX
+        assert Cutoff(bound).n_max == bound
+        for n_max in (bound + 1, 2**63 - 2):
+            with pytest.raises(ValueError, match="n_max must be at most"):
+                Cutoff(n_max)
 
 
 class TestPolarParam:
@@ -409,6 +419,28 @@ class TestTailRule:
             got = poisson_tail(alpha, n)
             assert (got >= 1e-12) == (want >= 1e-12)
             assert got == pytest.approx(want, rel=2e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("lam", [6e7, 1e8])
+    @pytest.mark.parametrize("sigmas", [-3, 0, 3])
+    def test_blocked_tail_matches_plain_sum(self, lam, sigmas, monkeypatch):
+        # past 65536 terms poisson_tail counts each block of terms as its middle
+        # one; the plain sum of every log-space term, 20 widths out, is the
+        # second route, which gammainc cannot be at this lam
+        n_max = round(lam + sigmas * math.sqrt(lam))
+        calls = []
+        real = fockforge.fock._log_poisson_term
+        monkeypatch.setattr(fockforge.fock, "_log_poisson_term", lambda *a: calls.append(a) or real(*a))
+        tail = poisson_tail(math.sqrt(lam), n_max)
+        assert len(calls) > 1  # the plain path takes one log-space term, the blocked one many
+        upper = n_max + 1 > lam
+        span = int(20 * math.sqrt(lam))
+        k = np.arange(n_max + 1, n_max + 1 + span) if upper else np.arange(n_max - span, n_max + 1)
+        k = k.astype(float)
+        logs = (
+            k * np.log1p((lam - k) / k) + (k - lam) - 0.5 * np.log(2 * math.pi * k) - _stirling_series(k)
+        )
+        summed = float(np.exp(logs).sum())
+        assert (tail if upper else 1.0 - tail) == pytest.approx(summed, rel=1e-7)
 
     @pytest.mark.parametrize("alpha", [k / 20 for k in range(121)] + LADDER)
     def test_adequate_cutoff_matches_regularized_gamma(self, alpha):

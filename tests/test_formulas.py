@@ -49,7 +49,7 @@ def sparse_route_residuals(algebra: str, t: PolarParam, cut: Cutoff, margin: int
     pos = np.full(cut.dim ** 2, -1)
     pos[keep] = np.arange(keep.size)
     rows, cols, vals = [], [], []
-    for block in sector_blocks(algebra, t, cut, meets=keep):
+    for block in sector_blocks(algebra, t, cut, meets=pos >= 0):
         inside = pos[block.index] >= 0
         rows.append(np.repeat(pos[block.index[inside]], block.index.size))
         cols.append(np.tile(block.index, np.count_nonzero(inside)))

@@ -27,6 +27,7 @@ from fockforge.cli import RunConfig, _lie_reports, main
 from fockforge.config import COSH_GUARD, DEFAULT_TOLERANCES, TAIL_BOUND
 from fockforge.fock import annihilation, poisson_tail, safe_indices
 from fockforge.lie import (
+    MODES,
     apply_sectors,
     safe_rows,
     sector_blocks,
@@ -41,6 +42,11 @@ from test_acceptance import _closure
 BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}
 
 
+def realization_id(realization: str) -> str:
+    """Test id of a realization: the algebra it carries and its mode count."""
+    return f"{'su11' if realization == 'squeeze' else realization}-{MODES[realization]}"
+
+
 def _assembled_rows(chains, cut: Cutoff, keep: np.ndarray) -> np.ndarray:
     """The |keep| x d^2 rows that safe_rows gives chain by chain, as one
     dense array; each chain's rows sit at its own indices, once."""
@@ -48,11 +54,11 @@ def _assembled_rows(chains, cut: Cutoff, keep: np.ndarray) -> np.ndarray:
     pos[keep] = np.arange(keep.size)
     out = np.zeros((keep.size, cut.dim ** 2), dtype=complex)
     seen = np.zeros(cut.dim ** 2, dtype=bool)
-    for at, index, rows in chains:
-        assert rows.shape == (at.size, index.size) and not seen[index].any()
-        assert np.isin(at, index).all()
+    for hit, index, rows in chains:
+        assert rows.shape == (np.count_nonzero(hit), index.size) and not seen[index].any()
+        np.testing.assert_array_equal(hit, np.isin(index, keep))
         seen[index] = True
-        out[np.ix_(pos[at], index)] = rows
+        out[np.ix_(pos[index[hit]], index)] = rows
     return out
 
 
@@ -293,17 +299,19 @@ class TestSectorKernel:
         rows = _assembled_rows(safe_rows(algebra, kappa, cut, keep), cut, keep)
         assert np.abs(rows - builder(kappa, cut).entries[keep]).max() <= 1e-13
 
-    @pytest.mark.parametrize("algebra", ["hw", "su11"])
+    # ids name the algebra each single-mode realization carries
+    @pytest.mark.parametrize("realization", ["hw", "squeeze"], ids=["hw", "su11"])
     @pytest.mark.parametrize("n_max, margin", [(1, 0), (8, 3), (40, 28), (144, 132)])
-    def test_single_mode_safe_rows_match_dense_builder(self, algebra, n_max, margin):
+    def test_single_mode_safe_rows_match_dense_builder(self, realization, n_max, margin):
         cut = Cutoff(n_max)
         keep = safe_indices(cut, margin, modes=1)
         kappa = PolarParam.from_polar(0.7, -1.2)
         rows = np.zeros((keep.size, cut.dim), dtype=complex)
-        for at, index, chain_rows in safe_rows(algebra, kappa, cut, keep, modes=1):
-            assert chain_rows.shape == (at.size, index.size) and np.isin(at, index).all()
-            rows[np.ix_(at, index)] = chain_rows
-        dense = sector_operator(algebra, kappa, cut, modes=1).entries[keep]
+        for hit, index, chain_rows in safe_rows(realization, kappa, cut, keep):
+            assert chain_rows.shape == (np.count_nonzero(hit), index.size)
+            np.testing.assert_array_equal(hit, np.isin(index, keep))
+            rows[np.ix_(index[hit], index)] = chain_rows
+        dense = sector_operator(realization, kappa, cut).entries[keep]
         assert np.abs(rows - dense).max() <= 1e-13
 
     @pytest.mark.parametrize("algebra", ["su2", "su11"])
@@ -344,7 +352,7 @@ class TestSectorKernel:
 
     @pytest.mark.parametrize("n_max", [1, 4, 9])
     def test_single_mode_chains_split_by_parity(self, n_max):
-        chains = list(sector_chains("su11", Cutoff(n_max), modes=1))
+        chains = list(sector_chains("squeeze", Cutoff(n_max)))
         assert [occ.tolist() for occ, _ in chains] == [
             list(range(0, n_max + 1, 2)),
             list(range(1, n_max + 1, 2)),
@@ -354,8 +362,19 @@ class TestSectorKernel:
             np.testing.assert_array_equal(ladder, np.sqrt((occ[:-1] + 1.0) * (occ[:-1] + 2)) / 2)
 
     def test_single_mode_realization_is_su11_only(self):
-        with pytest.raises(ValueError):
-            list(sector_chains("su2", Cutoff(4), modes=1))
+        # "squeeze" is the one single-mode su(1,1) realization; every entry
+        # point rejects a name outside MODES with the same ValueError
+        cut = Cutoff(4)
+        kappa = PolarParam.from_value(0.3)
+        for build in (
+            lambda: list(sector_chains("su2_single", cut)),
+            lambda: sector_blocks("su2_single", kappa, cut),
+            lambda: sector_operator("su2_single", kappa, cut),
+            lambda: safe_rows("su2_single", kappa, cut, safe_indices(cut, 1, modes=1)),
+            lambda: apply_sectors("su2_single", kappa, vacuum(cut, modes=2)),
+        ):
+            with pytest.raises(ValueError, match="unknown realization 'su2_single'"):
+                build()
 
     @pytest.mark.parametrize("kappa", [PolarParam.from_polar(0.5, 0.7), PolarParam.from_polar(1.0, -2.6)])
     def test_squeezed_vacuum_oracle(self, kappa):
@@ -393,19 +412,21 @@ HW_CUTOFFS = st.sampled_from([10, 40, 144, 178])
 class TestHeisenbergWeylChain:
     @pytest.mark.parametrize("n_max", [1, 4, 9])
     def test_one_chain_with_ladder_sqrt_n_plus_one(self, n_max):
-        ((occ, ladder),) = sector_chains("hw", Cutoff(n_max), modes=1)
+        ((occ, ladder),) = sector_chains("hw", Cutoff(n_max))
         np.testing.assert_array_equal(occ, np.arange(n_max + 1))
         np.testing.assert_array_equal(ladder, np.sqrt(np.arange(1, n_max + 1, dtype=float)))
 
     def test_single_mode_only(self):
-        with pytest.raises(ValueError):
-            list(sector_chains("hw", Cutoff(4)))
+        # "hw" names the single-mode chain; there is no two-mode Heisenberg-Weyl name
+        assert MODES["hw"] == 1
+        with pytest.raises(ValueError, match="unknown realization 'hw2'"):
+            list(sector_chains("hw2", Cutoff(4)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 10.0), st.floats(-math.pi, math.pi), HW_CUTOFFS)
     def test_matches_dense_expm(self, modulus, phase, n_max):
         alpha, cut = PolarParam.from_polar(modulus, phase), Cutoff(n_max)
-        built = sector_operator("hw", alpha, cut, modes=1).entries
+        built = sector_operator("hw", alpha, cut).entries
         assert _dense_gap(built, alpha, cut) <= 1e-13
 
     @settings(max_examples=40, deadline=None)
@@ -413,7 +434,7 @@ class TestHeisenbergWeylChain:
     def test_column_zero_matches_coherent_series(self, modulus, phase, n_max):
         assume(poisson_tail(modulus, n_max) < TAIL_BOUND)
         alpha, cut = PolarParam.from_polar(modulus, phase), Cutoff(n_max)
-        built = sector_operator("hw", alpha, cut, modes=1).entries
+        built = sector_operator("hw", alpha, cut).entries
         assert _series_gap(built, alpha, cut) <= SERIES_GAP
 
     @pytest.mark.parametrize(
@@ -423,7 +444,7 @@ class TestHeisenbergWeylChain:
         # control: the gates above must catch an amplitude 1% off
         alpha, cut = PolarParam.from_polar(modulus, phase), Cutoff(n_max)
         assert poisson_tail(modulus, n_max) < TAIL_BOUND
-        built = sector_operator("hw", PolarParam.from_value(1.01 * alpha.value), cut, modes=1).entries
+        built = sector_operator("hw", PolarParam.from_value(1.01 * alpha.value), cut).entries
         assert _dense_gap(built, alpha, cut) > 1e-13
         assert _series_gap(built, alpha, cut) > SERIES_GAP
 
@@ -432,17 +453,17 @@ class TestPhaseResolutionGuard:
     """sector_blocks rejects a parameter whose chain phases e^{-i |kappa| mu}
     a float cannot resolve, on every chain and every route through it."""
 
-    @pytest.mark.parametrize("algebra, modes", [("hw", 1), ("su11", 1), ("su2", 2)])
-    def test_limit_is_the_identity_tolerance(self, algebra, modes):
+    @pytest.mark.parametrize("realization", ["hw", "squeeze", "su2"], ids=realization_id)
+    def test_limit_is_the_identity_tolerance(self, realization):
         cut = Cutoff(10)
         mu_max = max(
             np.abs(np.linalg.eigvalsh(np.diag(ladder, 1) + np.diag(ladder, -1))).max()
-            for *_, ladder in sector_chains(algebra, cut, modes)
+            for *_, ladder in sector_chains(realization, cut)
         )
         limit = DEFAULT_TOLERANCES.identity_residual / (mu_max * np.finfo(float).eps)
-        sector_blocks(algebra, PolarParam.from_value(0.99 * limit), cut, modes)
+        sector_blocks(realization, PolarParam.from_value(0.99 * limit), cut)
         with pytest.raises(ValueError, match="a float cannot resolve the chain phases"):
-            sector_blocks(algebra, PolarParam.from_value(1.01 * limit), cut, modes)
+            sector_blocks(realization, PolarParam.from_value(1.01 * limit), cut)
 
     @pytest.mark.parametrize("route", ["whole", "safe_rows", "apply_sectors"])
     def test_every_two_mode_route_is_guarded(self, route):
@@ -551,9 +572,9 @@ class TestChainSolves:
         ladders = []
         real = fockforge.lie.eigh_tridiagonal
 
-        def counted(diagonal, ladder):
+        def counted(ladder):
             ladders.append(ladder.tobytes())
-            return real(diagonal, ladder)
+            return real(ladder)
 
         monkeypatch.setattr(fockforge.lie, "eigh_tridiagonal", counted)
         return ladders
@@ -572,13 +593,13 @@ class TestChainSolves:
         apply_sectors("su2", kappa, vacuum(c8, modes=2))
         assert len(solves) - before == len(list(sector_chains("su2", c8)))
 
-    @pytest.mark.parametrize("algebra, modes", [("hw", 1), ("su11", 1), ("su2", 2), ("su11", 2)])
-    def test_blocks_equal_inside_and_outside(self, algebra, modes):
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    def test_blocks_equal_inside_and_outside(self, realization):
         kappa, cut = PolarParam.from_polar(0.6, 1.1), Cutoff(9)
-        outside = sector_blocks(algebra, kappa, cut, modes)
+        outside = sector_blocks(realization, kappa, cut)
         with solve_each_chain_once():
-            sector_blocks(algebra, PolarParam.from_polar(0.2, -0.5), cut, modes)
-            inside = sector_blocks(algebra, kappa, cut, modes)
+            sector_blocks(realization, PolarParam.from_polar(0.2, -0.5), cut)
+            inside = sector_blocks(realization, kappa, cut)
         assert len(inside) == len(outside)
         for mine, ref in zip(inside, outside):
             for field in ("index", "phase", "vectors", "spectrum"):
@@ -586,10 +607,10 @@ class TestChainSolves:
 
     def test_shared_vectors_are_read_only(self):
         with solve_each_chain_once():
-            (block,) = sector_blocks("hw", PolarParam.from_value(0.5), Cutoff(6), modes=1)
+            (block,) = sector_blocks("hw", PolarParam.from_value(0.5), Cutoff(6))
             with pytest.raises(ValueError, match="read-only"):
                 block.vectors[0, 0] = 0.0
-        (block,) = sector_blocks("hw", PolarParam.from_value(0.5), Cutoff(6), modes=1)
+        (block,) = sector_blocks("hw", PolarParam.from_value(0.5), Cutoff(6))
         block.vectors[0, 0] = 0.0  # a solve outside the scope is the caller's own
 
     @pytest.mark.parametrize(

@@ -64,6 +64,9 @@ COMMANDS = (
         ["sweep", "--check", "check_phase_formula", "--values", "1e300"],
         # the obstruction's conjugated side at a larger cutoff than the default
         ["sweep", "--check", "squeezed_swap_obstruction", "--values", "0.0,0.45,0.9", "--nmax", "60"],
+        # the protocols' CSV bodies
+        ["swap", "--a1", "1,0", "--a2", "0,1", "--format", "csv"],
+        ["clone", "--alpha", "1,0", "--format", "csv"],
     ]
 )
 
