@@ -33,6 +33,7 @@ from .formulas import (
 )
 from .lie import (
     SpinK,
+    apply_sectors,
     schwinger_su2,
     schwinger_su11,
     single_mode_su11,
@@ -48,7 +49,7 @@ from .protocols import (
     squeezed_swap_obstruction,
 )
 from .report import Report, make_report
-from .states import coherent, fidelity, perelomov_su11, squeeze, vacuum
+from .states import coherent, fidelity, perelomov_su11, vacuum
 from .universal_swap import cnot_factorization, no_cloning_witness, swap_matrix, apply_swap
 
 ENV_NMAX = "FOCKFORGE_NMAX"
@@ -328,10 +329,8 @@ def _lie_reports(config: RunConfig) -> list:
     fock_cut = Cutoff(64)
     spin = SpinK(Fraction(1, 2), Cutoff(fock_cut.n_max // 2))
     pere = perelomov_su11(z, spin)
-    squeezed = squeeze(z, fock_cut).apply(vacuum(fock_cut))
-    even = squeezed.amplitudes[0::2]
-    even_ket = Ket(even, 1, spin.cutoff)
-    f = fidelity(pere, even_ket)
+    squeezed = apply_sectors("squeeze", z, vacuum(fock_cut))
+    f = fidelity(pere, Ket(squeezed.amplitudes[0::2], 1, spin.cutoff))
     reports.append(
         make_report(
             "su11_quarter_correspondence",

@@ -22,13 +22,12 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, _guard_cosh, default_margin
 from .fock import (
     Cutoff,
-    Ket,
     PolarParam,
     annihilation,
     safe_indices,
     tail_warning,
 )
-from .lie import safe_rows, sector_blocks, sector_operator
+from .lie import apply_sectors, safe_block, safe_rows
 from .report import Report, make_report
 from .states import (
     displacement,
@@ -147,14 +146,13 @@ def _conjugated_squeeze_pair(
     only the blocks of U and of the pair (a product of single-mode blocks) enter.
     """
     keep = safe_indices(cutoff, margin, modes=2)
-    pos = np.full(cutoff.dim ** 2, -1)
-    pos[keep] = np.arange(keep.size)
-    u = np.zeros((keep.size, keep.size), dtype=complex)
-    for hit, index, rows in safe_rows("su2", t, cutoff, keep):
-        u[np.ix_(pos[index[hit]], pos[index])] = rows
+    u = safe_block("su2", t, cutoff, keep, keep)
+    # the one-mode safe indices are the occupations 0 ... cap, which the
+    # two-mode safe block's occupations index directly
+    single = safe_indices(cutoff, margin, modes=1)
+    s1 = safe_block("squeeze", alpha, cutoff, single, single)
+    s2 = safe_block("squeeze", beta, cutoff, single, single)
     i1, i2 = np.divmod(keep, cutoff.dim)
-    s1 = squeeze(alpha, cutoff).entries
-    s2 = squeeze(beta, cutoff).entries
     pair = s1[np.ix_(i1, i1)] * s2[np.ix_(i2, i2)]
     return keep, _restricted_conjugation(u, pair), pair
 
@@ -271,12 +269,9 @@ def check_squeeze_conjugation(
     tol = DEFAULT_TOLERANCES.identity_residual if tolerance is None else tolerance
     _guard_cosh(epsilon.modulus, "epsilon")
 
-    # S's safe rows from its parity chains alone; single-mode safe indices
-    # are the occupations 0 ... cap, so a flat index is also its row
+    # S's safe rows from its parity chains alone
     keep = safe_indices(cutoff, margin, modes=1)
-    rows = np.zeros((keep.size, cutoff.dim), dtype=complex)
-    for hit, index, block_rows in safe_rows("squeeze", epsilon, cutoff, keep):
-        rows[np.ix_(index[hit], index)] = block_rows
+    rows = safe_block("squeeze", epsilon, cutoff, keep)
     a = annihilation(cutoff).entries
     a_safe = a[np.ix_(keep, keep)]
     rhs = math.cosh(epsilon.modulus) * a_safe - cmath.exp(1j * epsilon.phase) * math.sinh(
@@ -310,32 +305,32 @@ def check_SDS(
     amplified = math.exp(epsilon.modulus) * alpha.modulus
     tail_warning(amplified, cutoff, context="conjugated displacement")
 
-    # The displacements come from the Heisenberg-Weyl chain, whose chain
-    # positions are the occupations 0 ... n_max.
-    s = squeeze(epsilon, cutoff).entries
-    d = sector_operator("hw", alpha, cutoff).entries
+    # S's safe rows and the whole D(alpha), whose one Heisenberg-Weyl chain
+    # runs over every occupation 0 ... n_max
+    keep = safe_indices(cutoff, margin, modes=1)
+    s = safe_block("squeeze", epsilon, cutoff, keep)
+    d = safe_block("hw", alpha, cutoff, np.arange(cutoff.dim))
     predicted = (
         math.cosh(epsilon.modulus) * alpha.value
         + cmath.exp(1j * epsilon.phase) * math.sinh(epsilon.modulus) * alpha.conj
     )
-    keep = safe_indices(cutoff, margin, modes=1)
-    (d_pred,) = sector_blocks("hw", PolarParam.from_value(predicted), cutoff)
-    residuals = {
-        "displacement_conjugation": _conjugation_residual(s[keep], d, d_pred.matrix(keep, keep))
-    }
+    d_pred = safe_block("hw", PolarParam.from_value(predicted), cutoff, keep, keep)
+    residuals = {"displacement_conjugation": _conjugation_residual(s, d, d_pred)}
 
-    # Phase-locked special cases, verified on states; fidelity renormalizes.
-    vac = vacuum(cutoff).amplitudes
+    # Phase-locked special cases, verified on states, S(z)† being S(-z);
+    # fidelity renormalizes.
+    vac = vacuum(cutoff)
     fidelities = {}
     for key, offset, scale in (
         ("scale_up_state", 0.0, math.exp(epsilon.modulus)),
         ("scale_down_state", math.pi, math.exp(-epsilon.modulus)),
     ):
         locked = PolarParam.from_polar(epsilon.modulus, 2 * alpha.phase + offset)
-        s_locked = squeeze(locked, cutoff).entries
-        out = s_locked @ (d @ (s_locked.conj().T @ vac))
-        (d_target,) = sector_blocks("hw", PolarParam.from_value(scale * alpha.value), cutoff)
-        fidelities[key] = fidelity(Ket(out, 1, cutoff), Ket(d_target.apply(vac), 1, cutoff))
+        inverse = PolarParam.from_polar(epsilon.modulus, locked.phase + math.pi)
+        displaced = apply_sectors("hw", alpha, apply_sectors("squeeze", inverse, vac))
+        out = apply_sectors("squeeze", locked, displaced)
+        target = apply_sectors("hw", PolarParam.from_value(scale * alpha.value), vac)
+        fidelities[key] = fidelity(out, target)
 
     return make_report(
         "check_SDS",

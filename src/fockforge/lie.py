@@ -307,16 +307,47 @@ def safe_rows(
     return out
 
 
+def safe_block(
+    realization: str,
+    kappa: PolarParam,
+    cutoff: Cutoff,
+    keep: np.ndarray,
+    cols: np.ndarray | None = None,
+) -> np.ndarray:
+    """Rows ``keep`` of exp(kappa X+ - conj(kappa) X-) as one dense array,
+    at the flat columns ``cols`` when they are given and at every column
+    otherwise, in the order of ``keep`` and ``cols``; built from ``safe_rows``,
+    so only the chains that meet ``keep`` are exponentiated."""
+    size = cutoff.dim ** _modes(realization)
+    cols = np.arange(size) if cols is None else cols
+    row_of, col_of = np.full(size, -1), np.full(size, -1)
+    row_of[keep] = np.arange(keep.size)
+    col_of[cols] = np.arange(cols.size)
+    out = np.zeros((keep.size, cols.size), dtype=complex)
+    for hit, index, rows in safe_rows(realization, kappa, cutoff, keep):
+        at = col_of[index]
+        inside = at >= 0
+        if inside.all():  # the chain lies inside cols, as every su2 chain through a safe block does
+            out[np.ix_(row_of[index[hit]], at)] = rows
+        else:
+            out[np.ix_(row_of[index[hit]], at[inside])] = rows[:, inside]
+    return out
+
+
 def apply_sectors(realization: str, kappa: PolarParam, ket: Ket) -> Ket:
-    """exp(kappa X+ - conj(kappa) X-) of a two-mode realization applied to a
-    two-mode ket chain by chain, without forming the d^2 x d^2 matrix."""
-    if ket.modes != 2 or _modes(realization) != 2:
-        raise ValueError("apply_sectors applies a two-mode realization to a two-mode ket")
+    """exp(kappa X+ - conj(kappa) X-) applied to a ket chain by chain, without
+    forming the whole matrix; the realization's number of modes must be the
+    ket's."""
+    modes = _modes(realization)
+    if ket.modes != modes:
+        raise ValueError(
+            f"realization {realization!r} acts on {modes}-mode kets, not on a {ket.modes}-mode ket"
+        )
     amps = ket.amplitudes
     out = np.empty_like(amps)
     for block in sector_blocks(realization, kappa, ket.cutoff):
         out[block.index] = block.apply(amps[block.index])
-    return Ket(out, 2, ket.cutoff)
+    return Ket(out, modes, ket.cutoff)
 
 
 def beamsplitter_UJ(kappa: PolarParam, cutoff: Cutoff) -> Operator:

@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.sparse.linalg import norm as sparse_norm
 
 import fockforge.fock
+import fockforge.lie
 import fockforge.states
 from fockforge import (
     Cutoff,
@@ -26,6 +27,7 @@ from fockforge import (
     identity,
     imperfect_clone,
     squeeze_pair_exponent_coefficients,
+    squeezed_swap_obstruction,
     tensor,
 )
 from fockforge.cli import PROTOCOL_CHECKS, main
@@ -270,6 +272,53 @@ class TestNoDenseDisplacement:
         commands += [["sweep", "--check", c.name, "--values", "0.3,0.6"] for c in PROTOCOL_CHECKS]
         want = [main(argv) for argv in commands]
         refuse_dense_expm(monkeypatch)
+        assert [main(argv) for argv in commands] == want
+
+
+def refuse_whole_operator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("whole sector operator built")
+
+    for module in (fockforge.lie, fockforge.states):
+        monkeypatch.setattr(module, "sector_operator", refuse)
+
+
+class TestNoWholeOperator:
+    """The checks below read the sector kernel only through safe rows, safe
+    blocks and chain-by-chain ket application; check_SSS_commute and
+    check_phase_formula still build whole operators."""
+
+    ROUTED = (
+        "check_J_rotation",
+        "check_K_rotation",
+        "check_squeeze_conjugation",
+        "check_SDS",
+        "check_UJ_squeeze_invariance",
+        "squeezed_swap_obstruction",
+        "full_swap",
+        "imperfect_clone",
+        "apply_beamsplitter",
+    )
+
+    def test_checks_and_protocols_avoid_the_whole_operator(self, monkeypatch):
+        refuse_whole_operator(monkeypatch)
+        t, z = PolarParam.from_polar(0.6, -0.4), PolarParam.from_polar(0.4, 1.1)
+        assert check_J_rotation(t).passed
+        assert check_K_rotation(z).passed
+        assert check_squeeze_conjugation(z).passed
+        assert check_SDS(z, PolarParam.from_polar(0.8, 0.55)).passed
+        assert check_UJ_squeeze_invariance(t, z).passed
+        assert squeezed_swap_obstruction(z, PolarParam.from_polar(0.3, 2.0), t).passed
+        a1, a2 = PolarParam.from_value(1.2 + 0.3j), PolarParam.from_polar(0.4, 1.0)
+        assert full_swap(a1, a2, 0.7).report.passed
+        assert imperfect_clone(a1).report.passed
+        assert apply_beamsplitter(a1, a2, t).report.passed
+
+    def test_sweeps_avoid_the_whole_operator(self, monkeypatch):
+        # every sweep exits as it does with the whole operator in place
+        commands = [["sweep", "--check", name, "--values", "0.3,0.6"] for name in self.ROUTED]
+        want = [main(argv) for argv in commands]
+        refuse_whole_operator(monkeypatch)
         assert [main(argv) for argv in commands] == want
 
 

@@ -29,6 +29,7 @@ from fockforge.fock import annihilation, poisson_tail, safe_indices
 from fockforge.lie import (
     MODES,
     apply_sectors,
+    safe_block,
     safe_rows,
     sector_blocks,
     sector_chains,
@@ -269,6 +270,26 @@ class TestSectorKernel:
         out = apply_sectors(algebra, PolarParam.from_value(0), ket)
         np.testing.assert_array_equal(out.amplitudes, amps)
 
+    # ids name the algebra each single-mode realization carries
+    @pytest.mark.parametrize("realization", ["hw", "squeeze"], ids=["hw", "su11"])
+    @pytest.mark.parametrize("n_max", [1, 8, 40])
+    def test_single_mode_ket_application_matches_whole_operator(self, realization, n_max):
+        cut = Cutoff(n_max)
+        rng = np.random.default_rng(n_max)
+        ket = Ket(rng.normal(size=cut.dim) + 1j * rng.normal(size=cut.dim), 1, cut)
+        kappa = PolarParam.from_polar(0.7, -1.2)
+        got = apply_sectors(realization, kappa, ket).amplitudes
+        want = sector_operator(realization, kappa, cut).apply(ket).amplitudes
+        assert got.shape == want.shape and np.abs(got - want).max() <= 1e-13
+        zero = apply_sectors(realization, PolarParam.from_value(0), ket).amplitudes
+        np.testing.assert_array_equal(zero, ket.amplitudes)
+
+    @pytest.mark.parametrize("realization, modes", [("hw", 2), ("squeeze", 2), ("su2", 1), ("su11", 1)])
+    def test_ket_application_needs_the_realizations_mode_count(self, realization, modes):
+        cut = Cutoff(4)
+        with pytest.raises(ValueError, match=f"acts on {MODES[realization]}-mode kets"):
+            apply_sectors(realization, PolarParam.from_value(0.3), vacuum(cut, modes=modes))
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(["su2", "su11"]).flatmap(lambda alg: st.tuples(st.just(alg), kappas(alg))),
@@ -313,6 +334,27 @@ class TestSectorKernel:
             rows[np.ix_(index[hit], index)] = chain_rows
         dense = sector_operator(realization, kappa, cut).entries[keep]
         assert np.abs(rows - dense).max() <= 1e-13
+
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    @pytest.mark.parametrize("n_max, margin", [(1, 0), (6, 2), (9, 5)])
+    @pytest.mark.parametrize("columns", ["all", "keep", "cut"])
+    def test_safe_block_matches_whole_operator(self, realization, n_max, margin, columns):
+        cut = Cutoff(n_max)
+        keep = safe_indices(cut, margin, modes=MODES[realization])
+        size = cut.dim ** MODES[realization]
+        # "keep" cuts the single-mode chains, as the squeeze pair's one-mode
+        # safe indices cut the parity chains; "cut" takes half the flat
+        # indices, shuffled, so that every realization's chains leave the columns
+        shuffled = np.random.default_rng(n_max).permutation(size)[: size // 2 + 1]
+        cols = {"all": None, "keep": keep, "cut": shuffled}[columns]
+        kappa = PolarParam.from_polar(0.7, -1.2)
+        got = safe_block(realization, kappa, cut, keep, cols)
+        whole = sector_operator(realization, kappa, cut).entries
+        want = whole[keep] if cols is None else whole[np.ix_(keep, cols)]
+        assert got.shape == want.shape and np.abs(got - want).max() <= 1e-13
+        zero = safe_block(realization, PolarParam.from_value(0), cut, keep, cols)
+        eye = np.eye(size)[keep]
+        np.testing.assert_array_equal(zero, eye if cols is None else eye[:, cols])
 
     @pytest.mark.parametrize("algebra", ["su2", "su11"])
     @pytest.mark.parametrize("margin", [0, 2, 5])

@@ -67,6 +67,11 @@ COMMANDS = (
         # the protocols' CSV bodies
         ["swap", "--a1", "1,0", "--a2", "0,1", "--format", "csv"],
         ["clone", "--alpha", "1,0", "--format", "csv"],
+        # safe blocks other than the defaults: S's safe rows and D's blocks in
+        # check_SDS, and the squeeze pair's one-mode blocks, which cut the
+        # parity chains at the cap that --nmax sets
+        ["sweep", "--check", "check_SDS", "--values", "0.2,0.5", "--nmax", "100", "--margin", "80"],
+        ["sweep", "--check", "check_UJ_squeeze_invariance", "--values", "0.0,0.45,0.9", "--nmax", "60"],
     ]
 )
 
