@@ -221,10 +221,15 @@ class Ket:
 # constructors
 
 
+def ladder_weights(cutoff: Cutoff) -> np.ndarray:
+    """sqrt(1), ..., sqrt(n_max): the weight sqrt(n) with which the lowering
+    operator takes occupation n to n - 1."""
+    return np.sqrt(np.arange(1, cutoff.dim, dtype=float))
+
+
 def annihilation(cutoff: Cutoff) -> Operator:
     """Single-mode lowering operator: entry (n-1, n) = sqrt(n)."""
-    d = cutoff.dim
-    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
+    a = np.diag(ladder_weights(cutoff), k=1).astype(complex)
     return Operator(a, 1, cutoff)
 
 

@@ -20,14 +20,8 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh, default_margin
-from .fock import (
-    Cutoff,
-    PolarParam,
-    annihilation,
-    safe_indices,
-    tail_warning,
-)
-from .lie import apply_sectors, safe_block, safe_rows
+from .fock import Cutoff, PolarParam, ladder_weights, safe_indices, tail_warning
+from .lie import apply_sectors, safe_block, safe_rows, sector_product
 from .report import Report, make_report
 from .states import (
     displacement,
@@ -269,15 +263,19 @@ def check_squeeze_conjugation(
     tol = DEFAULT_TOLERANCES.identity_residual if tolerance is None else tolerance
     _guard_cosh(epsilon.modulus, "epsilon")
 
-    # S's safe rows from its parity chains alone
+    # S's safe rows from its parity chains alone.  a lowers occupation n to
+    # n - 1 with weight sqrt(n), so S's rows times a are those rows shifted by
+    # one column, and a's safe block (occupations 0 ... cap) is a truncated at cap.
     keep = safe_indices(cutoff, margin, modes=1)
     rows = safe_block("squeeze", epsilon, cutoff, keep)
-    a = annihilation(cutoff).entries
-    a_safe = a[np.ix_(keep, keep)]
+    weights = ladder_weights(cutoff)
+    rows_a = np.zeros_like(rows)
+    rows_a[:, 1:] = rows[:, :-1] * weights
+    a_safe = np.diag(weights[: keep.size - 1], k=1).astype(complex)
     rhs = math.cosh(epsilon.modulus) * a_safe - cmath.exp(1j * epsilon.phase) * math.sinh(
         epsilon.modulus
     ) * a_safe.conj().T
-    residuals = {"a_conjugation": _conjugation_residual(rows, a, rhs)}
+    residuals = {"a_conjugation": float(np.linalg.norm(rows_a @ rows.conj().T - rhs, "fro"))}
     return make_report(
         "check_squeeze_conjugation", (epsilon,), cutoff, margin, residuals, {}, tol
     )
@@ -305,17 +303,17 @@ def check_SDS(
     amplified = math.exp(epsilon.modulus) * alpha.modulus
     tail_warning(amplified, cutoff, context="conjugated displacement")
 
-    # S's safe rows and the whole D(alpha), whose one Heisenberg-Weyl chain
-    # runs over every occupation 0 ... n_max
+    # S's safe rows, and D(alpha) S† from D's one Heisenberg-Weyl chain
+    # applied to S's rows as columns, so no whole D(alpha) is formed
     keep = safe_indices(cutoff, margin, modes=1)
     s = safe_block("squeeze", epsilon, cutoff, keep)
-    d = safe_block("hw", alpha, cutoff, np.arange(cutoff.dim))
+    ds = sector_product("hw", alpha, cutoff, s.conj().T)
     predicted = (
         math.cosh(epsilon.modulus) * alpha.value
         + cmath.exp(1j * epsilon.phase) * math.sinh(epsilon.modulus) * alpha.conj
     )
     d_pred = safe_block("hw", PolarParam.from_value(predicted), cutoff, keep, keep)
-    residuals = {"displacement_conjugation": _conjugation_residual(s, d, d_pred)}
+    residuals = {"displacement_conjugation": float(np.linalg.norm(s @ ds - d_pred, "fro"))}
 
     # Phase-locked special cases, verified on states, S(z)† being S(-z);
     # fidelity renormalizes.

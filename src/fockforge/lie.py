@@ -3,9 +3,11 @@
 Includes the two-mode (Schwinger boson) realizations and the single-mode
 quadratic realization of su(1,1), all as dense matrices on truncated spaces,
 and the sector kernel that exponentiates four realizations one conserved
-chain at a time, whole, on a ket, or on the rows of a safe block: "hw", the
-Heisenberg-Weyl X+ = a†, whose exponential is the displacement; "squeeze",
-K+ = a†a†/2; and Schwinger's "su2", J+ = a1†a2, and "su11", K+ = a1†a2†.  Inside
+chain at a time, whole (``sector_operator``), on the rows of a safe block
+(``safe_rows``, ``safe_block``), or on a ket or a stack of columns
+(``apply_sectors``, ``sector_product``): "hw", the Heisenberg-Weyl X+ = a†,
+whose exponential is the displacement; "squeeze", K+ = a†a†/2; and
+Schwinger's "su2", J+ = a1†a2, and "su11", K+ = a1†a2†.  Inside
 ``solve_each_chain_once`` every distinct chain is diagonalized once.
 """
 
@@ -151,8 +153,13 @@ class SectorBlock:
         return left @ (self.vectors[cols].T * self.phase[cols].conj())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        w = self.vectors.T @ (self.phase.conj() * v)
-        return self.phase * (self.vectors @ (self.spectrum * w))
+        """The block times a chain vector, or times each column of a
+        (chain, k) stack."""
+        phase, spectrum = self.phase, self.spectrum
+        if v.ndim > 1:  # every column of the stack takes the same factors
+            phase, spectrum = phase[:, None], spectrum[:, None]
+        w = self.vectors.T @ (phase.conj() * v)
+        return phase * (self.vectors @ (spectrum * w))
 
 
 # each realization of the sector kernel and its number of modes
@@ -319,13 +326,14 @@ def safe_block(
     otherwise, in the order of ``keep`` and ``cols``; built from ``safe_rows``,
     so only the chains that meet ``keep`` are exponentiated."""
     size = cutoff.dim ** _modes(realization)
-    cols = np.arange(size) if cols is None else cols
-    row_of, col_of = np.full(size, -1), np.full(size, -1)
+    row_of = np.full(size, -1)
     row_of[keep] = np.arange(keep.size)
-    col_of[cols] = np.arange(cols.size)
-    out = np.zeros((keep.size, cols.size), dtype=complex)
+    if cols is not None:  # every column's place is its flat index otherwise
+        col_of = np.full(size, -1)
+        col_of[cols] = np.arange(cols.size)
+    out = np.zeros((keep.size, size if cols is None else cols.size), dtype=complex)
     for hit, index, rows in safe_rows(realization, kappa, cutoff, keep):
-        at = col_of[index]
+        at = index if cols is None else col_of[index]
         inside = at >= 0
         if inside.all():  # the chain lies inside cols, as every su2 chain through a safe block does
             out[np.ix_(row_of[index[hit]], at)] = rows
@@ -334,20 +342,33 @@ def safe_block(
     return out
 
 
+def sector_product(
+    realization: str, kappa: PolarParam, cutoff: Cutoff, columns: np.ndarray
+) -> np.ndarray:
+    """exp(kappa X+ - conj(kappa) X-) @ ``columns``, chain by chain, without
+    forming the whole matrix; ``columns`` is one vector or a stack of columns
+    with one row per flat index of the realization's space."""
+    size = cutoff.dim ** _modes(realization)
+    if columns.shape[0] != size:
+        raise ValueError(
+            f"realization {realization!r} at n_max={cutoff.n_max} acts on {size} rows, "
+            f"not on {columns.shape[0]}"
+        )
+    out = np.empty(columns.shape, dtype=complex)
+    for block in sector_blocks(realization, kappa, cutoff):
+        out[block.index] = block.apply(columns[block.index])
+    return out
+
+
 def apply_sectors(realization: str, kappa: PolarParam, ket: Ket) -> Ket:
-    """exp(kappa X+ - conj(kappa) X-) applied to a ket chain by chain, without
-    forming the whole matrix; the realization's number of modes must be the
-    ket's."""
+    """exp(kappa X+ - conj(kappa) X-) applied to a ket, the one-column case of
+    ``sector_product``; the realization's number of modes must be the ket's."""
     modes = _modes(realization)
     if ket.modes != modes:
         raise ValueError(
             f"realization {realization!r} acts on {modes}-mode kets, not on a {ket.modes}-mode ket"
         )
-    amps = ket.amplitudes
-    out = np.empty_like(amps)
-    for block in sector_blocks(realization, kappa, ket.cutoff):
-        out[block.index] = block.apply(amps[block.index])
-    return Ket(out, modes, ket.cutoff)
+    return Ket(sector_product(realization, kappa, ket.cutoff, ket.amplitudes), modes, ket.cutoff)
 
 
 def beamsplitter_UJ(kappa: PolarParam, cutoff: Cutoff) -> Operator:

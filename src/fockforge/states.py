@@ -22,7 +22,9 @@ from .fock import (
     _stirling_series,
     tail_warning,
 )
-from .lie import SpinJ, SpinK, sector_blocks, sector_operator
+# sector_blocks is read as lie.sector_blocks: lie is the one place it is bound
+from . import lie
+from .lie import SpinJ, SpinK, sector_operator
 
 
 def vacuum(cutoff: Cutoff, modes: int = 1) -> Ket:
@@ -50,7 +52,7 @@ def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float
     # the closed form goes first: it rejects an amplitude too large to square
     deficit = abs(1.0 - coherent_series(alpha, cutoff).norm)
     tail_warning(alpha.modulus, cutoff, context="displacement")
-    (block,) = sector_blocks("hw", alpha, cutoff)
+    (block,) = lie.sector_blocks("hw", alpha, cutoff)
     # entry k of W e^{-i|alpha| mu} W^T e_0 is (-i)^k times a real number, the
     # chain having a zero diagonal: its i^k is applied exactly and the real part
     # kept, so that a positive alpha gives an exactly real state

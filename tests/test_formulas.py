@@ -198,7 +198,7 @@ class TestSqueezeConjugation:
     @pytest.mark.parametrize(
         "eps, cutoff, margin",
         [((0.05, 0.0), None, None), ((0.69, 1.1), None, None), ((0.8, 0.3), Cutoff(16), 2),
-         ((1.2, -2.0), Cutoff(40), 20)],
+         ((1.2, -2.0), Cutoff(40), 20), ((0.2, 0.4), Cutoff(6), 6)],
     )
     def test_matches_dense_squeeze_route(self, eps, cutoff, margin):
         # the safe rows of S from its parity chains give the residual that
@@ -320,6 +320,24 @@ class TestNoWholeOperator:
         want = [main(argv) for argv in commands]
         refuse_whole_operator(monkeypatch)
         assert [main(argv) for argv in commands] == want
+
+
+class TestSDSRows:
+    def test_blocks_give_no_more_than_the_safe_rows(self, monkeypatch):
+        # D(alpha) is applied to S's safe rows chain by chain, so no block is
+        # asked for more rows than the safe block has
+        asked = []
+        matrix = fockforge.lie.SectorBlock.matrix
+
+        def recording(block, rows=slice(None), cols=slice(None)):
+            out = matrix(block, rows, cols)
+            asked.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(fockforge.lie.SectorBlock, "matrix", recording)
+        rep = check_SDS(PolarParam.from_polar(0.4, 1.1), PolarParam.from_polar(0.8, 0.55))
+        keep = safe_indices(fockforge.formulas.SDS_CUTOFF, rep.margin, modes=1)
+        assert rep.passed and asked and max(asked) <= keep.size
 
 
 class TestSSSCommute:

@@ -34,6 +34,7 @@ from fockforge.lie import (
     sector_blocks,
     sector_chains,
     sector_operator,
+    sector_product,
     solve_each_chain_once,
 )
 from fockforge.states import coherent_series, vacuum
@@ -355,6 +356,39 @@ class TestSectorKernel:
         zero = safe_block(realization, PolarParam.from_value(0), cut, keep, cols)
         eye = np.eye(size)[keep]
         np.testing.assert_array_equal(zero, eye if cols is None else eye[:, cols])
+
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    @pytest.mark.parametrize("n_max", [1, 8, 40])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_sector_product_matches_whole_operator(self, realization, n_max, width):
+        cut = Cutoff(n_max)
+        size = cut.dim ** MODES[realization]
+        rng = np.random.default_rng(n_max + width)
+        columns = rng.normal(size=(size, width)) + 1j * rng.normal(size=(size, width))
+        kappa = PolarParam.from_polar(0.7, -1.2)
+        got = sector_product(realization, kappa, cut, columns)
+        want = sector_operator(realization, kappa, cut).entries @ columns
+        assert got.shape == want.shape and np.abs(got - want).max() <= 1e-13
+        np.testing.assert_array_equal(
+            sector_product(realization, PolarParam.from_value(0), cut, columns), columns
+        )
+
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    def test_ket_application_is_the_one_column_product(self, realization):
+        cut = Cutoff(8)
+        modes = MODES[realization]
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=cut.dim ** modes) + 1j * rng.normal(size=cut.dim ** modes)
+        kappa = PolarParam.from_polar(0.7, -1.2)
+        got = apply_sectors(realization, kappa, Ket(amps, modes, cut)).amplitudes
+        np.testing.assert_array_equal(got, sector_product(realization, kappa, cut, amps))
+
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    def test_sector_product_needs_one_row_per_flat_index(self, realization):
+        cut = Cutoff(4)
+        size = cut.dim ** MODES[realization]
+        with pytest.raises(ValueError, match=f"acts on {size} rows, not on {size + 1}"):
+            sector_product(realization, PolarParam.from_value(0.3), cut, np.ones((size + 1, 2)))
 
     @pytest.mark.parametrize("algebra", ["su2", "su11"])
     @pytest.mark.parametrize("margin", [0, 2, 5])

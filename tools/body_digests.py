@@ -72,6 +72,8 @@ COMMANDS = (
         # parity chains at the cap that --nmax sets
         ["sweep", "--check", "check_SDS", "--values", "0.2,0.5", "--nmax", "100", "--margin", "80"],
         ["sweep", "--check", "check_UJ_squeeze_invariance", "--values", "0.0,0.45,0.9", "--nmax", "60"],
+        # a's shift along S's safe rows, at a cap and row width other than the defaults
+        ["sweep", "--check", "check_squeeze_conjugation", "--values", "0.2,0.5", "--nmax", "60", "--margin", "30"],
     ]
 )
 
