@@ -1,7 +1,9 @@
 """Executable verification of the conjugation identities.
 
-Each check builds the operators at a truncation level, evaluates both sides
-of an identity on the safe subspace, and returns a Report of residual norms.
+Each check reads the sector kernel (``lie``) at a truncation level, through
+safe rows, safe blocks or chain-by-chain application, evaluates both sides of
+an identity on the safe subspace, and returns a Report of residual norms;
+only check_SSS_commute still builds whole operators.
 
 Truncation policy.  Conjugation by an occupation-preserving rotation (the
 beamsplitter family) is exact on complete total-occupation sectors, so any
@@ -20,16 +22,10 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh, default_margin
-from .fock import Cutoff, PolarParam, ladder_weights, safe_indices, tail_warning
+from .fock import Cutoff, Ket, PolarParam, ladder_weights, safe_indices, tail_warning
 from .lie import apply_sectors, safe_block, safe_rows, sector_product
 from .report import Report, make_report
-from .states import (
-    displacement,
-    phase_rotation,
-    squeeze,
-    vacuum,
-    fidelity,
-)
+from .states import fidelity, phase_factors, squeeze, vacuum
 
 # Size of the retained low-occupation block for hyperbolic-conjugation checks.
 HYPERBOLIC_SAFE_BLOCK = 12
@@ -72,12 +68,6 @@ def _restricted_conjugation(rows, a, right=None):
     """
     right = rows if right is None else right
     return rows @ a @ right.conj().T
-
-
-def _conjugation_residual(rows, a, rhs_block) -> float:
-    """Frobenius norm of the safe block of U A U† minus ``rhs_block``, the
-    right-hand side's safe block; ``rows`` holds U's safe rows."""
-    return float(np.linalg.norm(_restricted_conjugation(rows, a) - rhs_block, "fro"))
 
 
 # the two-mode ladders a1, a2 and a2† as (mode, step): a_mode lowers that
@@ -406,24 +396,26 @@ def check_phase_formula(
     # reduce t to (-pi, pi] once, by PolarParam's rule, for both sides: the
     # factors e^{i t n} of a raw t past about 1e15 lose the product t n
     angle = PolarParam.from_polar(1.0, t).phase
-    v = phase_rotation(angle, cutoff)
-    d = displacement(alpha, cutoff)
     rotated = PolarParam.from_value(cmath.exp(1j * angle) * alpha.value)
-    d_pred = displacement(rotated, cutoff)
+    # V = e^{itN} is diagonal, so the safe block of V D V† is D's safe block
+    # with its rows and columns multiplied by the phases e^{itn}
+    v = phase_factors(angle, cutoff)
     keep = safe_indices(cutoff, margin, modes=1)
+    d = safe_block("hw", alpha, cutoff, keep, keep)
+    d_pred = safe_block("hw", rotated, cutoff, keep, keep)
 
     vac = vacuum(cutoff)
     residuals = {
-        "displacement_conjugation": _conjugation_residual(
-            v.entries[keep], d.entries, d_pred.entries[np.ix_(keep, keep)]
+        "displacement_conjugation": float(
+            np.linalg.norm(v[keep, None] * d * v[keep].conj() - d_pred, "fro")
         ),
-        "vacuum_invariance": float(
-            np.linalg.norm(v.entries @ vac.amplitudes - vac.amplitudes)
-        ),
+        "vacuum_invariance": float(np.linalg.norm(v * vac.amplitudes - vac.amplitudes)),
     }
     # the coherent state is this displaced vacuum, renormalized
-    rotated_state = v.apply(d.apply(vac).normalize())
-    fidelities = {"rotated_state": fidelity(rotated_state, d_pred.apply(vac).normalize())}
+    displaced = apply_sectors("hw", alpha, vac).normalize()
+    rotated_state = Ket(v * displaced.amplitudes, 1, cutoff)
+    target = apply_sectors("hw", rotated, vac).normalize()
+    fidelities = {"rotated_state": fidelity(rotated_state, target)}
     return make_report(
         "check_phase_formula",
         (PolarParam.from_value(t), alpha),

@@ -146,11 +146,11 @@ class SectorBlock:
     vectors: np.ndarray
     spectrum: np.ndarray
 
-    def matrix(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
-        """Entries [rows, cols] of the block as a dense matrix, both counting
-        chain positions; by default the whole block."""
+    def matrix(self, rows=slice(None)) -> np.ndarray:
+        """Rows ``rows`` of the block as a dense matrix, counting chain
+        positions; by default the whole block."""
         left = self.phase[rows, None] * self.vectors[rows] * self.spectrum
-        return left @ (self.vectors[cols].T * self.phase[cols].conj())
+        return left @ (self.vectors.T * self.phase.conj())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The block times a chain vector, or times each column of a

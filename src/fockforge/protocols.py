@@ -231,24 +231,6 @@ def _gaussian_exponential(
     return g[i1[:, None], i2[:, None], i1, i2]
 
 
-def _obstruction_blocks(
-    coeffs: dict[str, complex],
-    beta1: PolarParam,
-    beta2: PolarParam,
-    kappa: PolarParam,
-    cutoff: Cutoff,
-    margin: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Safe blocks of U (S1 S2) U†, exp(X) and S1 S2 at ``margin``.
-
-    exp(X) is exact (``_gaussian_exponential``), while the conjugated pair is
-    built on the truncated space, so the first two blocks differ only by the
-    truncation of the conjugated side.
-    """
-    keep, conjugated, pair = _conjugated_squeeze_pair(beta1, beta2, kappa, cutoff, margin)
-    return conjugated, _gaussian_exponential(coeffs, cutoff, keep), pair
-
-
 def squeezed_swap_obstruction(
     beta1: PolarParam,
     beta2: PolarParam,
@@ -275,7 +257,10 @@ def squeezed_swap_obstruction(
     coeffs = squeeze_pair_exponent_coefficients(beta1.value, beta2.value, kappa.value)
     cross = coeffs["pair_create"]
 
-    conjugated, exp_x, pair = _obstruction_blocks(coeffs, beta1, beta2, kappa, cutoff, margin)
+    # exp(X) is exact, while the conjugated pair is built on the truncated
+    # space, so their safe blocks differ only by the conjugated side's truncation
+    keep, conjugated, pair = _conjugated_squeeze_pair(beta1, beta2, kappa, cutoff, margin)
+    exp_x = _gaussian_exponential(coeffs, cutoff, keep)
     residuals = {
         "exponent_match": float(np.linalg.norm(conjugated - exp_x, "fro")),
         "invariance": float(np.linalg.norm(conjugated - pair, "fro")),

@@ -35,7 +35,10 @@ def vacuum(cutoff: Cutoff, modes: int = 1) -> Ket:
 
 def displacement(alpha: PolarParam, cutoff: Cutoff) -> Operator:
     """Unitary exp(alpha a† - conj(alpha) a) on the sector kernel's Heisenberg-Weyl
-    chain, which rejects unresolvable phases; warns when the tail rule fails."""
+    chain, which rejects unresolvable phases; warns when the tail rule fails.
+
+    The library's dense form and the tests' second route: no command calls it,
+    the checks reading D(alpha)'s safe blocks and chains from ``lie`` instead."""
     tail_warning(alpha.modulus, cutoff, context="displacement")
     return sector_operator("hw", alpha, cutoff)
 
@@ -101,7 +104,10 @@ def phase_factors(t: float, cutoff: Cutoff) -> np.ndarray:
 
 
 def phase_rotation(t: float, cutoff: Cutoff) -> Operator:
-    """Diagonal unitary exp(i t N), built exactly entry by entry."""
+    """Diagonal unitary exp(i t N), built exactly entry by entry.
+
+    The library's dense form and the tests' second route: no command calls it,
+    the checks multiplying by ``phase_factors`` instead."""
     return Operator(np.diag(phase_factors(t, cutoff)), 1, cutoff)
 
 

@@ -316,7 +316,6 @@ class TestSweepCommand:
         tail = "|alpha|=1 leaves Poisson tail 8.32e-05 above n_max=6"
         assert err.splitlines() == [
             f"warning: cutoff inadequate for phase-rotated displacement: {tail}",
-            f"warning: cutoff inadequate for displacement: {tail}",
         ]
 
     def test_empty_grid_header_only(self, capsys):

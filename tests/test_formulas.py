@@ -23,12 +23,15 @@ from fockforge import (
     check_squeeze_conjugation,
     displacement,
     expm,
+    fidelity,
     full_swap,
     identity,
     imperfect_clone,
+    phase_rotation,
     squeeze_pair_exponent_coefficients,
     squeezed_swap_obstruction,
     tensor,
+    vacuum,
 )
 from fockforge.cli import PROTOCOL_CHECKS, main
 from fockforge.fock import annihilation, dagger, safe_indices
@@ -285,14 +288,15 @@ def refuse_whole_operator(monkeypatch):
 
 class TestNoWholeOperator:
     """The checks below read the sector kernel only through safe rows, safe
-    blocks and chain-by-chain ket application; check_SSS_commute and
-    check_phase_formula still build whole operators."""
+    blocks and chain-by-chain ket application; check_SSS_commute still builds
+    whole operators."""
 
     ROUTED = (
         "check_J_rotation",
         "check_K_rotation",
         "check_squeeze_conjugation",
         "check_SDS",
+        "check_phase_formula",
         "check_UJ_squeeze_invariance",
         "squeezed_swap_obstruction",
         "full_swap",
@@ -307,6 +311,7 @@ class TestNoWholeOperator:
         assert check_K_rotation(z).passed
         assert check_squeeze_conjugation(z).passed
         assert check_SDS(z, PolarParam.from_polar(0.8, 0.55)).passed
+        assert check_phase_formula(0.9, PolarParam.from_value(1.2 - 0.4j)).passed
         assert check_UJ_squeeze_invariance(t, z).passed
         assert squeezed_swap_obstruction(z, PolarParam.from_polar(0.3, 2.0), t).passed
         a1, a2 = PolarParam.from_value(1.2 + 0.3j), PolarParam.from_polar(0.4, 1.0)
@@ -329,8 +334,8 @@ class TestSDSRows:
         asked = []
         matrix = fockforge.lie.SectorBlock.matrix
 
-        def recording(block, rows=slice(None), cols=slice(None)):
-            out = matrix(block, rows, cols)
+        def recording(block, rows=slice(None)):
+            out = matrix(block, rows)
             asked.append(out.shape[0])
             return out
 
@@ -374,8 +379,6 @@ class TestPhaseFormula:
     def test_half_turn_negates(self):
         # t = pi sends D(1) to D(-1)
         cut = Cutoff(40)
-        from fockforge.states import phase_rotation
-
         v = phase_rotation(math.pi, cut)
         lhs = conjugate_by(v, displacement(PolarParam.from_value(1.0), cut))
         rhs = displacement(PolarParam.from_value(-1.0), cut)
@@ -388,6 +391,34 @@ class TestPhaseFormula:
             assert rep.passed
             assert 1 - rep.fidelities["rotated_state"] <= 1e-10
             assert rep.residuals["vacuum_invariance"] == 0.0
+
+    @pytest.mark.parametrize(
+        "t, alpha, n_max, margin",
+        [
+            (0.9, PolarParam.from_value(1.2 - 0.4j), 40, None),
+            (-2.7, PolarParam.from_polar(1.8, 2.3), 40, None),
+            (math.pi, PolarParam.from_value(1.0), 40, None),
+            (1e15, PolarParam.from_polar(0.6, -1.4), 40, None),
+            (0.4, PolarParam.from_polar(1.5, 0.7), 20, 3),
+            (2.0, PolarParam.from_value(-0.3 + 1.1j), 60, 25),
+        ],
+    )
+    def test_matches_dense_route(self, t, alpha, n_max, margin):
+        # second route: the dense V(t) D(alpha) V(t)† against D(e^{it} alpha),
+        # and the rotated displaced vacuum from dense matrix-vector products
+        cut = Cutoff(n_max)
+        rep = check_phase_formula(t, alpha, cut, margin)
+        angle = PolarParam.from_polar(1.0, t).phase
+        v = phase_rotation(angle, cut)
+        d = displacement(alpha, cut)
+        d_pred = displacement(PolarParam.from_value(np.exp(1j * angle) * alpha.value), cut)
+        want = residual(conjugate_by(v, d), d_pred, rep.margin)
+        vac = vacuum(cut)
+        rotated = v.apply(d.apply(vac).normalize())
+        want_fidelity = fidelity(rotated, d_pred.apply(vac).normalize())
+        assert abs(rep.residuals["displacement_conjugation"] - want) <= 1e-13
+        assert abs(rep.fidelities["rotated_state"] - want_fidelity) <= 1e-13
+        assert rep.passed
 
     def test_periodicity(self):
         alpha = PolarParam.from_value(0.9 + 0.2j)

@@ -34,9 +34,13 @@ from fockforge import (
 )
 from fockforge.config import COSH_GUARD
 from fockforge.fock import safe_indices
-from fockforge.formulas import _hyperbolic_margin, squeeze_pair_exponent_coefficients
+from fockforge.formulas import (
+    _conjugated_squeeze_pair,
+    _hyperbolic_margin,
+    squeeze_pair_exponent_coefficients,
+)
 from fockforge.lie import apply_sectors
-from fockforge.protocols import _gaussian_exponential, _obstruction_blocks
+from fockforge.protocols import _gaussian_exponential
 from second_routes import residual, two_mode_squeezer_UK
 
 RNG = np.random.default_rng(31)
@@ -452,7 +456,8 @@ class TestObstruction:
             pair[block],
         )
 
-        got = _obstruction_blocks(coeffs, beta1, beta2, kappa, cut, margin)
+        got_keep, conjugated, got_pair = _conjugated_squeeze_pair(beta1, beta2, kappa, cut, margin)
+        got = (conjugated, _gaussian_exponential(coeffs, cut, got_keep), got_pair)
         for mine, ref in zip(got, want):
             assert np.abs(mine - ref).max() <= 1e-12
         rep = squeezed_swap_obstruction(beta1, beta2, kappa, cut, margin)
@@ -538,7 +543,8 @@ class TestGaussianExponential:
         zero = PolarParam.from_value(0)
         kappa = PolarParam.from_polar(0.4, 0.3)
         coeffs = squeeze_pair_exponent_coefficients(0j, 0j, kappa.value)
-        _, exp_x, _ = _obstruction_blocks(coeffs, zero, zero, kappa, Cutoff(10), 3)
+        keep, _, _ = _conjugated_squeeze_pair(zero, zero, kappa, Cutoff(10), 3)
+        exp_x = _gaussian_exponential(coeffs, Cutoff(10), keep)
         np.testing.assert_array_equal(exp_x, np.eye(exp_x.shape[0]))
         # S1(0) S2(0) is the identity too, so both residuals measure U's safe block alone
         rep = squeezed_swap_obstruction(zero, zero, kappa)

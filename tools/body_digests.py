@@ -74,6 +74,8 @@ COMMANDS = (
         ["sweep", "--check", "check_UJ_squeeze_invariance", "--values", "0.0,0.45,0.9", "--nmax", "60"],
         # a's shift along S's safe rows, at a cap and row width other than the defaults
         ["sweep", "--check", "check_squeeze_conjugation", "--values", "0.2,0.5", "--nmax", "60", "--margin", "30"],
+        # D's safe blocks in check_phase_formula at a cutoff and margin other than the defaults
+        ["sweep", "--check", "check_phase_formula", "--values", "0.4,2.0,3.0", "--nmax", "20", "--margin", "3"],
     ]
 )
 
