@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
 import json
 import math
 import os
@@ -135,8 +134,14 @@ def _build_config(args) -> RunConfig:
     )
 
 
-def _finish(config: RunConfig, text: str, messages: tuple[str, ...], failed: bool) -> int:
-    """Write the body, print each distinct warning; 1 if a check failed or warned."""
+def _finish(config: RunConfig, body: dict, header: list[str], rows: list[list[str]],
+            messages: tuple[str, ...], failed: bool) -> int:
+    """Write ``body`` as JSON, or ``rows`` of string cells under ``header``
+    as CSV; print each distinct warning; 1 if a check failed or warned."""
+    if config.output_format == "json":
+        text = _json_text(body)
+    else:
+        text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
     if config.output_path:
         try:
             with open(config.output_path, "w") as fh:
@@ -410,19 +415,14 @@ def cmd_verify_all(config: RunConfig) -> int:
         "config": config.to_json_dict(),
         "reports": [r.to_json_dict() for r in reports],
     }
-    if config.output_format == "json":
-        text = _json_text(body)
-    else:
-        buf = io.StringIO()
-        buf.write("name,passed,n_max,margin,worst_residual,worst_fidelity_deficit\n")
-        for r in reports:
-            buf.write(
-                f"{r.name},{r.passed},{r.cutoff.n_max},{r.margin},"
-                f"{float(r.worst_residual)!r},{float(r.worst_fidelity_deficit)!r}\n"
-            )
-        text = buf.getvalue()
+    header = ["name", "passed", "n_max", "margin", "worst_residual", "worst_fidelity_deficit"]
+    rows = [
+        [r.name, str(r.passed), str(r.cutoff.n_max), str(r.margin),
+         repr(float(r.worst_residual)), repr(float(r.worst_fidelity_deficit))]
+        for r in reports
+    ]
     failed = [r.name for r in reports if not r.passed]
-    code = _finish(config, text, messages, bool(failed))
+    code = _finish(config, body, header, rows, messages, bool(failed))
     for name in failed:
         print(f"failed: {name}", file=sys.stderr)
     return code
@@ -434,15 +434,12 @@ def cmd_verify_all(config: RunConfig) -> int:
 
 def _protocol_exit(protocol, config: RunConfig) -> int:
     result, messages = _run_collecting_warnings(protocol)
-    if config.output_format == "json":
-        text = _json_text(result.to_json_dict())
-    else:
-        n1, n2 = result.mean_occupations()
-        text = (
-            "protocol,fidelity,mean_occupation_1,mean_occupation_2,passed\n"
-            f"{result.report.name},{float(result.fidelity)!r},{float(n1)!r},{float(n2)!r},{result.report.passed}\n"
-        )
-    return _finish(config, text, messages, not result.report.passed)
+    body = result.to_json_dict()
+    n1, n2 = body["mean_occupations"]
+    header = ["protocol", "fidelity", "mean_occupation_1", "mean_occupation_2", "passed"]
+    row = [result.report.name, *(repr(float(x)) for x in (result.fidelity, n1, n2)),
+           str(result.report.passed)]
+    return _finish(config, body, header, [row], messages, not result.report.passed)
 
 
 def cmd_swap(config: RunConfig, alpha1: PolarParam, alpha2: PolarParam, delta: float) -> int:
@@ -473,24 +470,19 @@ def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
         lambda: [(value, check.run(check.sweep(value), config)) for value in values]
     )
 
-    if config.output_format == "json":
-        body = {
-            "check": check_name,
-            "reports": [dict(value=v, **r.to_json_dict()) for v, r in reports],
-        }
-        text = _json_text(body)
-    else:
-        buf = io.StringIO()
-        header = ["check", "value", *check.residuals, *check.fidelities, "passed"]
-        buf.write(",".join(header) + "\n")
-        for v, r in reports:
-            row = [check_name, repr(float(v))]
-            row += [repr(float(r.residuals.get(k, float("nan")))) for k in check.residuals]
-            row += [repr(float(r.fidelities.get(k, float("nan")))) for k in check.fidelities]
-            row.append(str(r.passed))
-            buf.write(",".join(row) + "\n")
-        text = buf.getvalue()
-    return _finish(config, text, messages, not all(r.passed for _, r in reports))
+    body = {
+        "check": check_name,
+        "reports": [dict(value=v, **r.to_json_dict()) for v, r in reports],
+    }
+    header = ["check", "value", *check.residuals, *check.fidelities, "passed"]
+    rows = [
+        [check_name, repr(float(v))]
+        + [repr(float(r.residuals.get(k, math.nan))) for k in check.residuals]
+        + [repr(float(r.fidelities.get(k, math.nan))) for k in check.fidelities]
+        + [str(r.passed)]
+        for v, r in reports
+    ]
+    return _finish(config, body, header, rows, messages, not all(r.passed for _, r in reports))
 
 
 # ---------------------------------------------------------------------------

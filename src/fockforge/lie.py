@@ -335,10 +335,7 @@ def safe_block(
     for hit, index, rows in safe_rows(realization, kappa, cutoff, keep):
         at = index if cols is None else col_of[index]
         inside = at >= 0
-        if inside.all():  # the chain lies inside cols, as every su2 chain through a safe block does
-            out[np.ix_(row_of[index[hit]], at)] = rows
-        else:
-            out[np.ix_(row_of[index[hit]], at[inside])] = rows[:, inside]
+        out[np.ix_(row_of[index[hit]], at[inside])] = rows[:, inside]
     return out
 
 

@@ -72,7 +72,9 @@ def _beamsplitter_circuit(
     Returns the input pair, its truncation deficit, the renormalized output,
     the coherent pair at ``outputs`` and the fidelity between the two.
     """
-    # the beamsplitter truncates by total occupation: guard the combined amplitude
+    # the beamsplitter truncates by total occupation: guard the combined amplitude.
+    # No input or output modulus exceeds it, the circuit keeping |a1|^2 + |a2|^2,
+    # so this one warning covers every coherent state built below.
     tail_warning(math.hypot(inputs[0].modulus, inputs[1].modulus), cutoff, context=label)
     incoming, in_deficit = _coherent_pair(*inputs, cutoff)
     ket = apply_sectors("su2", kappa, incoming)

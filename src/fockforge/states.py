@@ -50,11 +50,12 @@ def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float
     The truncated displacement stays exactly unitary, so the lost amplitude
     shows up as distortion rather than norm loss; the deficit is therefore
     measured on the closed-form expansion as the norm shortfall of its
-    restriction to the cutoff.
+    restriction to the cutoff. The deficit is the only report of the
+    truncation: unlike ``coherent``, this raises no CutoffWarning, its callers
+    guarding the cutoff for the amplitudes they combine.
     """
     # the closed form goes first: it rejects an amplitude too large to square
     deficit = abs(1.0 - coherent_series(alpha, cutoff).norm)
-    tail_warning(alpha.modulus, cutoff, context="displacement")
     (block,) = lie.sector_blocks("hw", alpha, cutoff)
     # entry k of W e^{-i|alpha| mu} W^T e_0 is (-i)^k times a real number, the
     # chain having a zero diagonal: its i^k is applied exactly and the real part
@@ -66,7 +67,10 @@ def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float
 
 
 def coherent(alpha: PolarParam, cutoff: Cutoff) -> Ket:
-    return coherent_with_deficit(alpha, cutoff)[0]
+    """Displaced vacuum |alpha>; warns when the cutoff fails the tail rule."""
+    ket, _ = coherent_with_deficit(alpha, cutoff)
+    tail_warning(alpha.modulus, cutoff, context="displacement")
+    return ket
 
 
 def coherent_series(alpha: PolarParam, cutoff: Cutoff) -> Ket:

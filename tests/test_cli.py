@@ -162,10 +162,6 @@ class TestSwapCommand:
         assert err.splitlines() == [
             "warning: cutoff inadequate for clone input: "
             "|alpha|=3 leaves Poisson tail 2.94e-01 above n_max=10",
-            "warning: cutoff inadequate for displacement: "
-            "|alpha|=3 leaves Poisson tail 2.94e-01 above n_max=10",
-            "warning: cutoff inadequate for displacement: "
-            "|alpha|=2.121 leaves Poisson tail 6.67e-03 above n_max=10",
         ]
 
     def test_combined_amplitude_sets_cutoff(self, capsys):
@@ -454,6 +450,51 @@ class TestOutputFile:
         assert err.startswith(f"error: cannot write --out {str(path)!r}: ")
         assert calls == []
         assert list(tmp_path.iterdir()) == []
+
+
+def _json_rows(command, body) -> list[dict]:
+    """Per CSV row, the columns that the command's JSON body also carries."""
+    if command == "verify-all":
+        return [{k: r[k] for k in ("name", "passed", "n_max", "margin")} for r in body["reports"]]
+    if command == "sweep":
+        return [
+            {"check": body["check"], "value": r["value"], **r["residuals"], **r["fidelities"],
+             "passed": r["passed"]}
+            for r in body["reports"]
+        ]
+    n1, n2 = body["mean_occupations"]
+    return [{"protocol": body["report"]["name"], "fidelity": body["fidelity"],
+             "mean_occupation_1": n1, "mean_occupation_2": n2,
+             "passed": body["report"]["passed"]}]
+
+
+class TestCsvBody:
+    @pytest.mark.parametrize(
+        "argv, csv_only",
+        [
+            (["verify-all", "--seed", "7"], {"worst_residual", "worst_fidelity_deficit"}),
+            (["swap", "--a1", "1,0", "--a2", "0,1"], set()),
+            (["clone", "--alpha", "1,0"], set()),
+            (["sweep", "--check", "check_SDS", "--values", "0.2,0.5"], set()),
+        ],
+        ids=["verify-all", "swap", "clone", "sweep"],
+    )
+    def test_csv_cells_equal_json_values(self, argv, csv_only, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        expected = _json_rows(argv[0], json.loads(out))
+        code, out, _ = run([*argv, "--format", "csv"], capsys)
+        assert code == 0
+        header, *lines = out.splitlines()
+        columns = header.split(",")
+        rows = [dict(zip(columns, line.split(","))) for line in lines]
+        assert len(rows) == len(expected)
+        for row, carried in zip(rows, expected):
+            assert set(row) - set(carried) == csv_only
+            for column, value in carried.items():
+                # json.dumps writes a float as its repr
+                cell = repr(value) if isinstance(value, float) else str(value)
+                assert row[column] == cell, column
 
 
 class TestDeterminism:

@@ -136,8 +136,13 @@ class TestCoherent:
         assert np.linalg.norm(gap) < 1e-8
 
     def test_deficit_reported(self):
+        # the public builder warns; the protocols' builder reports the deficit instead
+        alpha, cut = PolarParam.from_value(2.0), Cutoff(8)
         with pytest.warns(CutoffWarning):
-            _, deficit = coherent_with_deficit(PolarParam.from_value(2.0), Cutoff(8))
+            coherent(alpha, cut)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CutoffWarning)
+            _, deficit = coherent_with_deficit(alpha, cut)
         assert deficit > 1e-6
 
     @settings(max_examples=60, deadline=None)
