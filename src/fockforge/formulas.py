@@ -1,9 +1,9 @@
 """Executable verification of the conjugation identities.
 
 Each check reads the sector kernel (``lie``) at a truncation level, through
-safe rows, safe blocks or chain-by-chain application, evaluates both sides of
-an identity on the safe subspace, and returns a Report of residual norms;
-only check_SSS_commute still builds whole operators.
+safe rows, safe blocks or chain-by-chain application, and builds no whole
+operator; it evaluates both sides of an identity on the safe subspace and
+returns a Report of residual norms.
 
 Truncation policy.  Conjugation by an occupation-preserving rotation (the
 beamsplitter family) is exact on complete total-occupation sectors, so any
@@ -25,7 +25,7 @@ from .config import DEFAULT_TOLERANCES, _guard_cosh, default_margin
 from .fock import Cutoff, Ket, PolarParam, ladder_weights, safe_indices, tail_warning
 from .lie import apply_sectors, safe_block, safe_rows, sector_product
 from .report import Report, make_report
-from .states import fidelity, phase_factors, squeeze, vacuum
+from .states import fidelity, phase_factors, vacuum
 
 # Size of the retained low-occupation block for hyperbolic-conjugation checks.
 HYPERBOLIC_SAFE_BLOCK = 12
@@ -321,13 +321,7 @@ def check_SDS(
         fidelities[key] = fidelity(out, target)
 
     return make_report(
-        "check_SDS",
-        (epsilon, alpha),
-        cutoff,
-        margin,
-        residuals,
-        fidelities,
-        tol,
+        "check_SDS", (epsilon, alpha), cutoff, margin, residuals, fidelities, tol
     )
 
 
@@ -350,11 +344,17 @@ def check_SSS_commute(
     _guard_cosh(epsilon.modulus, "epsilon")
     _guard_cosh(alpha.modulus, "alpha")
 
-    s_eps = squeeze(epsilon, cutoff).entries
-    s_alp = squeeze(alpha, cutoff).entries
-    keep = safe_indices(cutoff, margin, modes=1)
-    comm = (s_eps @ s_alp - s_alp @ s_eps)[np.ix_(keep, keep)]
-    residuals = {"commutator": float(np.linalg.norm(comm, "fro"))}
+    # both squeezes are block-diagonal on the same two parity chains, so the
+    # commutator's safe block is each chain's block commutator at positions <= cap
+    cap = safe_indices(cutoff, margin, modes=1)[-1]
+    every = np.arange(cutoff.dim)
+    norms = []
+    for (_, index, b_eps), (_, _, b_alp) in zip(
+        safe_rows("squeeze", epsilon, cutoff, every), safe_rows("squeeze", alpha, cutoff, every)
+    ):
+        safe = np.ix_(index <= cap, index <= cap)
+        norms.append(np.linalg.norm((b_eps @ b_alp - b_alp @ b_eps)[safe]))
+    residuals = {"commutator": math.hypot(*norms)}
 
     matched = (
         epsilon.modulus == 0.0

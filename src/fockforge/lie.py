@@ -3,12 +3,12 @@
 Includes the two-mode (Schwinger boson) realizations and the single-mode
 quadratic realization of su(1,1), all as dense matrices on truncated spaces,
 and the sector kernel that exponentiates four realizations one conserved
-chain at a time, whole (``sector_operator``), on the rows of a safe block
-(``safe_rows``, ``safe_block``), or on a ket or a stack of columns
-(``apply_sectors``, ``sector_product``): "hw", the Heisenberg-Weyl X+ = a†,
-whose exponential is the displacement; "squeeze", K+ = a†a†/2; and
-Schwinger's "su2", J+ = a1†a2, and "su11", K+ = a1†a2†.  Inside
-``solve_each_chain_once`` every distinct chain is diagonalized once.
+chain at a time, on a safe block's rows (``safe_rows``, ``safe_block``, and
+at every row the whole ``sector_operator``, which no command builds) or on a
+ket or a stack of columns (``apply_sectors``, ``sector_product``): "hw", the
+Heisenberg-Weyl X+ = a†, whose exponential is the displacement; "squeeze",
+K+ = a†a†/2; and Schwinger's "su2", J+ = a1†a2, and "su11", K+ = a1†a2†.
+Inside ``solve_each_chain_once`` every distinct chain is diagonalized once.
 """
 
 from __future__ import annotations
@@ -284,12 +284,10 @@ def sector_blocks(
 
 
 def sector_operator(realization: str, kappa: PolarParam, cutoff: Cutoff) -> Operator:
-    """Dense exp(kappa X+ - conj(kappa) X-) assembled from its sector blocks."""
+    """Dense exp(kappa X+ - conj(kappa) X-), its ``safe_block`` at every row."""
     modes = _modes(realization)
-    out = np.zeros((cutoff.dim ** modes,) * 2, dtype=complex)
-    for block in sector_blocks(realization, kappa, cutoff):
-        out[np.ix_(block.index, block.index)] = block.matrix()
-    return Operator(out, modes, cutoff)
+    every = np.arange(cutoff.dim ** modes)
+    return Operator(safe_block(realization, kappa, cutoff, every), modes, cutoff)
 
 
 def safe_rows(
@@ -326,17 +324,17 @@ def safe_block(
     otherwise, in the order of ``keep`` and ``cols``; built from ``safe_rows``,
     so only the chains that meet ``keep`` are exponentiated."""
     size = cutoff.dim ** _modes(realization)
+    cols = np.arange(size) if cols is None else cols
     row_of = np.full(size, -1)
     row_of[keep] = np.arange(keep.size)
-    if cols is not None:  # every column's place is its flat index otherwise
-        col_of = np.full(size, -1)
-        col_of[cols] = np.arange(cols.size)
-    out = np.zeros((keep.size, size if cols is None else cols.size), dtype=complex)
+    # every chain is written whole: its positions outside ``cols`` land in a
+    # spare last column, which is sliced off
+    col_of = np.full(size, cols.size)
+    col_of[cols] = np.arange(cols.size)
+    out = np.zeros((keep.size, cols.size + 1), dtype=complex)
     for hit, index, rows in safe_rows(realization, kappa, cutoff, keep):
-        at = index if cols is None else col_of[index]
-        inside = at >= 0
-        out[np.ix_(row_of[index[hit]], at[inside])] = rows[:, inside]
-    return out
+        out[np.ix_(row_of[index[hit]], col_of[index])] = rows
+    return out[:, :-1]
 
 
 def sector_product(

@@ -98,7 +98,7 @@ def squeeze(z: PolarParam, cutoff: Cutoff) -> Operator:
     """Unitary exp((z (a†)^2 - conj(z) a^2) / 2), the su(1,1) boost
     exp(z K+ - conj(z) K-) of the quadratic realization K+ = (a†)^2/2,
     assembled from its even and odd parity chains; z = 0 is the exact identity.
-    """
+    No command calls it: the checks read the parity chains by rows or on kets."""
     return sector_operator("squeeze", z, cutoff)
 
 

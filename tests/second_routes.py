@@ -3,17 +3,28 @@
 No command needs these: the package conjugates on safe rows chain by chain,
 builds coherent states on the Heisenberg-Weyl chain and applies the two-mode
 squeezer sector by sector.  Here they are the plain dense forms of the same
-objects.
+objects, and ``assembled_operator`` writes the sector kernel's blocks into the
+whole matrix without ``safe_block``.
 """
 
 import numpy as np
 
 from fockforge import Cutoff, Ket, Operator, PolarParam, displacement, squeeze, vacuum
 from fockforge.fock import safe_indices
-from fockforge.lie import sector_operator
+from fockforge.lie import MODES, sector_blocks, sector_operator
 
 # Frobenius bound on U†U - I for an operator conjugate_by accepts as unitary
 UNITARITY_TOL = 1e-10
+
+
+def assembled_operator(realization: str, kappa: PolarParam, cutoff: Cutoff) -> Operator:
+    """Dense exp(kappa X+ - conj(kappa) X-), each chain's whole block from
+    ``sector_blocks`` written at its own indices, one chain after another."""
+    modes = MODES[realization]
+    out = np.zeros((cutoff.dim ** modes,) * 2, dtype=complex)
+    for block in sector_blocks(realization, kappa, cutoff):
+        out[np.ix_(block.index, block.index)] = block.matrix()
+    return Operator(out, modes, cutoff)
 
 
 def conjugate_by(u: Operator, a: Operator) -> Operator:

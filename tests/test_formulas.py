@@ -28,6 +28,7 @@ from fockforge import (
     identity,
     imperfect_clone,
     phase_rotation,
+    squeeze,
     squeeze_pair_exponent_coefficients,
     squeezed_swap_obstruction,
     tensor,
@@ -288,14 +289,14 @@ def refuse_whole_operator(monkeypatch):
 
 class TestNoWholeOperator:
     """The checks below read the sector kernel only through safe rows, safe
-    blocks and chain-by-chain ket application; check_SSS_commute still builds
-    whole operators."""
+    blocks and chain-by-chain ket application."""
 
     ROUTED = (
         "check_J_rotation",
         "check_K_rotation",
         "check_squeeze_conjugation",
         "check_SDS",
+        "check_SSS_commute",
         "check_phase_formula",
         "check_UJ_squeeze_invariance",
         "squeezed_swap_obstruction",
@@ -311,6 +312,7 @@ class TestNoWholeOperator:
         assert check_K_rotation(z).passed
         assert check_squeeze_conjugation(z).passed
         assert check_SDS(z, PolarParam.from_polar(0.8, 0.55)).passed
+        assert check_SSS_commute(z, PolarParam.from_polar(0.7, 1.1)).passed
         assert check_phase_formula(0.9, PolarParam.from_value(1.2 - 0.4j)).passed
         assert check_UJ_squeeze_invariance(t, z).passed
         assert squeezed_swap_obstruction(z, PolarParam.from_polar(0.3, 2.0), t).passed
@@ -369,6 +371,28 @@ class TestSSSCommute:
         assert rep.residuals["commutator"] > 1e-3
         assert "commutator" in rep.unasserted
         assert rep.passed  # reported, not asserted
+
+    @pytest.mark.parametrize("n_max", [2, 7, 32, 60])
+    @pytest.mark.parametrize("margin", ["zero", "one", "n_max"])
+    @pytest.mark.parametrize(
+        "epsilon, alpha, mismatched",
+        [
+            (PolarParam.from_polar(0.4, 0.7), PolarParam.from_polar(0.9, 0.7), False),
+            (PolarParam.from_polar(0.4, 0.7), PolarParam.from_polar(0.9, -1.1), True),
+            (PolarParam.from_value(0), PolarParam.from_polar(0.9, 0.7), False),
+        ],
+        ids=["matched", "mismatched", "zero"],
+    )
+    def test_matches_whole_squeeze_route(self, n_max, margin, epsilon, alpha, mismatched):
+        # second route: the whole squeezes' commutator, read at the safe block
+        cut = Cutoff(n_max)
+        margin = {"zero": 0, "one": 1, "n_max": n_max}[margin]
+        s_eps, s_alp = squeeze(epsilon, cut).entries, squeeze(alpha, cut).entries
+        keep = safe_indices(cut, margin, modes=1)
+        whole = (s_eps @ s_alp - s_alp @ s_eps)[np.ix_(keep, keep)]
+        want = float(np.linalg.norm(whole, "fro"))
+        got = check_SSS_commute(epsilon, alpha, cut, margin).residuals["commutator"]
+        assert abs(got - want) <= (1e-13 * want if mismatched else 1e-14)
 
 
 class TestPhaseFormula:

@@ -38,7 +38,7 @@ from fockforge.lie import (
     solve_each_chain_once,
 )
 from fockforge.states import coherent_series, vacuum
-from second_routes import two_mode_squeezer_UK
+from second_routes import assembled_operator, two_mode_squeezer_UK
 from test_acceptance import _closure
 
 BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}
@@ -280,7 +280,7 @@ class TestSectorKernel:
         ket = Ket(rng.normal(size=cut.dim) + 1j * rng.normal(size=cut.dim), 1, cut)
         kappa = PolarParam.from_polar(0.7, -1.2)
         got = apply_sectors(realization, kappa, ket).amplitudes
-        want = sector_operator(realization, kappa, cut).apply(ket).amplitudes
+        want = assembled_operator(realization, kappa, cut).apply(ket).amplitudes
         assert got.shape == want.shape and np.abs(got - want).max() <= 1e-13
         zero = apply_sectors(realization, PolarParam.from_value(0), ket).amplitudes
         np.testing.assert_array_equal(zero, ket.amplitudes)
@@ -333,7 +333,7 @@ class TestSectorKernel:
             assert chain_rows.shape == (np.count_nonzero(hit), index.size)
             np.testing.assert_array_equal(hit, np.isin(index, keep))
             rows[np.ix_(index[hit], index)] = chain_rows
-        dense = sector_operator(realization, kappa, cut).entries[keep]
+        dense = assembled_operator(realization, kappa, cut).entries[keep]
         assert np.abs(rows - dense).max() <= 1e-13
 
     @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
@@ -350,12 +350,24 @@ class TestSectorKernel:
         cols = {"all": None, "keep": keep, "cut": shuffled}[columns]
         kappa = PolarParam.from_polar(0.7, -1.2)
         got = safe_block(realization, kappa, cut, keep, cols)
-        whole = sector_operator(realization, kappa, cut).entries
+        whole = assembled_operator(realization, kappa, cut).entries
         want = whole[keep] if cols is None else whole[np.ix_(keep, cols)]
         assert got.shape == want.shape and np.abs(got - want).max() <= 1e-13
         zero = safe_block(realization, PolarParam.from_value(0), cut, keep, cols)
         eye = np.eye(size)[keep]
         np.testing.assert_array_equal(zero, eye if cols is None else eye[:, cols])
+
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    @pytest.mark.parametrize("n_max", [1, 5, 24, 40])
+    @pytest.mark.parametrize("kappa", [PolarParam.from_polar(0.7, 0.4), PolarParam.from_value(0)])
+    def test_sector_operator_is_the_assembled_operator(self, realization, n_max, kappa):
+        # the whole operator is safe_block at every row, byte for byte the
+        # blocks written one chain after another
+        cut = Cutoff(n_max)
+        got = sector_operator(realization, kappa, cut).entries
+        want = assembled_operator(realization, kappa, cut).entries
+        # as integers, so that even -0.0 against 0.0 would fail
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
     @pytest.mark.parametrize("n_max", [1, 8, 40])
@@ -367,7 +379,7 @@ class TestSectorKernel:
         columns = rng.normal(size=(size, width)) + 1j * rng.normal(size=(size, width))
         kappa = PolarParam.from_polar(0.7, -1.2)
         got = sector_product(realization, kappa, cut, columns)
-        want = sector_operator(realization, kappa, cut).entries @ columns
+        want = assembled_operator(realization, kappa, cut).entries @ columns
         assert got.shape == want.shape and np.abs(got - want).max() <= 1e-13
         np.testing.assert_array_equal(
             sector_product(realization, PolarParam.from_value(0), cut, columns), columns

@@ -76,6 +76,9 @@ COMMANDS = (
         ["sweep", "--check", "check_squeeze_conjugation", "--values", "0.2,0.5", "--nmax", "60", "--margin", "30"],
         # D's safe blocks in check_phase_formula at a cutoff and margin other than the defaults
         ["sweep", "--check", "check_phase_formula", "--values", "0.4,2.0,3.0", "--nmax", "20", "--margin", "3"],
+        # the squeezes' chain blocks in check_SSS_commute at margin 0, where every
+        # chain position is inside the safe block
+        ["sweep", "--check", "check_SSS_commute", "--values", "0.3,1.2", "--nmax", "12", "--margin", "0"],
     ]
 )
 
