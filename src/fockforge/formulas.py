@@ -90,27 +90,18 @@ def _chain_pair_residuals(chains, cutoff: Cutoff, sides) -> list[float]:
     side (L, [(w_i, L_i), ...]), for ``chains`` U's safe rows per chain
     (``lie.safe_rows``), computed chain pair by chain pair.
 
-    U is block-diagonal over its chains, and every ladder here moves the
-    chains' conserved label by the same step, so all of them map a chain into
-    the same neighbour.  The safe block is then the sum, over source chains s,
-    of the blocks R_t L R_s† with t the chain L maps s into; both sides vanish
-    outside those blocks.
+    U is block-diagonal over its chains, and every ladder here lowers the
+    chains' conserved label by one: a1 and a2 lower N = n1 + n2, a1 and a2†
+    lower D = n1 - n2.  ``safe_rows`` lists the chains by ascending label with
+    none missing, so each ladder maps a chain into the one before it, and the
+    first into one that misses the safe block.  The safe block is then the sum,
+    over neighbours t, s in that list, of the blocks R_t L R_s†; both sides
+    vanish outside those blocks.
     """
-    owner = np.full(cutoff.dim ** 2, -1)
-    for number, (_, index, _) in enumerate(chains):
-        owner[index] = number
-    mode, step = sides[0][0]
-    shift = step * (cutoff.dim if mode == 0 else 1)
     needed = {conjugated for conjugated, _ in sides}
     needed |= {term for _, expected in sides for _, term in expected}
     totals = [0.0] * len(sides)
-    for source, (hit_s, index_s, rows_s) in enumerate(chains):
-        moved = np.divmod(index_s, cutoff.dim)[mode] + step
-        valid = (moved >= 0) & (moved <= cutoff.n_max)
-        target = owner[index_s[valid][0] + shift] if valid.any() else -1
-        if target < 0:  # the ladders empty this chain, or map it onto one that misses the safe block
-            continue
-        hit_t, index_t, rows_t = chains[target]
+    for (hit_t, index_t, rows_t), (hit_s, index_s, rows_s) in zip(chains, chains[1:]):
         safe = np.ix_(hit_t, hit_s)
         blocks = {ladder: _ladder_between(ladder, cutoff, index_t, index_s) for ladder in needed}
         for k, (conjugated, expected) in enumerate(sides):
@@ -339,7 +330,7 @@ def check_SSS_commute(
     generically nonzero and is reported without being asserted.
     """
     cutoff = cutoff or SSS_CUTOFF
-    margin = SSS_MARGIN if margin is None else margin
+    margin = min(SSS_MARGIN, cutoff.n_max) if margin is None else margin
     tol = DEFAULT_TOLERANCES.identity_residual if tolerance is None else tolerance
     _guard_cosh(epsilon.modulus, "epsilon")
     _guard_cosh(alpha.modulus, "alpha")

@@ -247,6 +247,10 @@ def _chain_eigensystem(ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, w
 
 
+# machine epsilon, read by sector_blocks' phase-error bound
+_EPS = np.finfo(float).eps
+
+
 def sector_blocks(
     realization: str, kappa: PolarParam, cutoff: Cutoff, meets: np.ndarray | None = None
 ) -> list[SectorBlock]:
@@ -272,7 +276,7 @@ def sector_blocks(
             continue
         mu, w = _chain_eigensystem(ladder)
         # mu comes back ascending, so its largest modulus is max(-mu[0], mu[-1])
-        phase_error = kappa.modulus * max(-mu[0], mu[-1]) * np.finfo(float).eps
+        phase_error = kappa.modulus * max(-mu[0], mu[-1]) * _EPS
         if phase_error > DEFAULT_TOLERANCES.identity_residual:
             raise ValueError(
                 f"{realization} parameter |kappa| = {kappa.modulus:.4g} is too large: "
@@ -302,6 +306,11 @@ def safe_rows(
     per chain position.  Every other entry of the rows vanishes.  On a safe
     block (complete sectors n1 + n2 <= cap) the su2 chains through ``keep``
     lie inside it; the su11 chains through it run on up to the cutoff.
+
+    The entries keep ``sector_chains``' order.  For ``keep`` a two-mode
+    ``safe_indices`` block, the chains that meet it therefore carry every label
+    from the first to the last in ascending order: su2 N = 0 ... cap and su11
+    D = -cap ... cap.
     """
     inside = np.zeros(cutoff.dim ** _modes(realization), dtype=bool)
     inside[keep] = True

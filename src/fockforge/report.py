@@ -23,7 +23,6 @@ class Report:
     residuals: dict[str, float]
     fidelities: dict[str, float]
     tolerance: float
-    passed: bool
     unasserted: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -39,26 +38,23 @@ class Report:
             "passed": self.passed,
         }
 
+    def _asserted(self, entries: dict[str, float]) -> list[float]:
+        return [v for k, v in entries.items() if k not in self.unasserted]
+
+    @property
+    def passed(self) -> bool:
+        """Every asserted residual and fidelity deficit is within the
+        tolerance; a NaN is never within it."""
+        deficits = [1.0 - v for v in self._asserted(self.fidelities)]
+        return all(v <= self.tolerance for v in self._asserted(self.residuals) + deficits)
+
     @property
     def worst_residual(self) -> float:
-        asserted = [v for k, v in self.residuals.items() if k not in self.unasserted]
-        return max(asserted, default=0.0)
+        return max(self._asserted(self.residuals), default=0.0)
 
     @property
     def worst_fidelity_deficit(self) -> float:
-        asserted = [1.0 - v for k, v in self.fidelities.items() if k not in self.unasserted]
-        return max(asserted, default=0.0)
-
-
-def evaluate_passed(
-    residuals: dict[str, float],
-    fidelities: dict[str, float],
-    tolerance: float,
-    unasserted: tuple[str, ...] = (),
-) -> bool:
-    ok = all(v <= tolerance for k, v in residuals.items() if k not in unasserted)
-    ok = ok and all(1.0 - v <= tolerance for k, v in fidelities.items() if k not in unasserted)
-    return ok
+        return max((1.0 - v for v in self._asserted(self.fidelities)), default=0.0)
 
 
 def make_report(
@@ -71,14 +67,4 @@ def make_report(
     tolerance: float,
     unasserted: tuple[str, ...] = (),
 ) -> Report:
-    return Report(
-        name=name,
-        params=params,
-        cutoff=cutoff,
-        margin=margin,
-        residuals=residuals,
-        fidelities=fidelities,
-        tolerance=tolerance,
-        passed=evaluate_passed(residuals, fidelities, tolerance, unasserted),
-        unasserted=unasserted,
-    )
+    return Report(name, params, cutoff, margin, residuals, fidelities, tolerance, unasserted)

@@ -48,6 +48,16 @@ class TestConfigValidation:
         code, _, _ = run(["swap", "--a1", "1,0", "--a2", "0,1", "--nmax", "8", "--margin", "9"], capsys)
         assert code == 2
 
+    def test_small_nmax_caps_the_default_sss_margin(self, capsys):
+        # check_SSS_commute's default margin never exceeds the cutoff, so a
+        # small --nmax fails checks rather than the configuration
+        code, _, err = run(["verify-all", "--nmax", "5"], capsys)
+        assert code == 1
+        assert "exceeds" not in err
+        sweep = ["sweep", "--check", "check_SSS_commute", "--values", "0.2,0.7", "--nmax", "6"]
+        assert run(sweep, capsys)[0] == 0
+        assert run(sweep + ["--margin", "7"], capsys)[0] == 2
+
     def test_negative_seed_names_flag(self, capsys):
         code, out, err = run(["verify-all", "--seed", "-1"], capsys)
         assert code == 2

@@ -36,8 +36,15 @@ from fockforge import (
 )
 from fockforge.cli import PROTOCOL_CHECKS, main
 from fockforge.fock import annihilation, dagger, safe_indices
-from fockforge.formulas import _restricted_conjugation, _sinc, _sinhc
-from fockforge.lie import sector_blocks
+from fockforge.formulas import (
+    A1,
+    A2DAG,
+    _chain_pair_residuals,
+    _restricted_conjugation,
+    _sinc,
+    _sinhc,
+)
+from fockforge.lie import safe_rows, sector_blocks
 from second_routes import conjugate_by, residual
 
 RNG = np.random.default_rng(23)
@@ -104,6 +111,22 @@ class TestChainPairConjugation:
             for name, value in want.items():
                 # truncated edges give residuals of order one; exact ones, round-off
                 assert rep.residuals[name] == pytest.approx(value, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("n_max", [4, 9, 24])
+    def test_reversed_chain_order_misses_the_sparse_route(self, n_max):
+        # control: paired out of order, every ladder block between two chains
+        # vanishes and both sides read 0.  su11's truncated edges leave
+        # residuals of order one for that to miss; su2's are round-off.
+        cut = Cutoff(n_max)
+        t = PolarParam.from_polar(0.9, 0.4)
+        ch, ts = math.cosh(t.modulus), t.value * _sinhc(t.modulus)
+        sides = [(A1, [(ch, A1), (-ts, A2DAG)]), (A2DAG, [(ch, A2DAG), (-ts.conjugate(), A1)])]
+        for margin in (0, n_max // 3):
+            chains = safe_rows("su11", t, cut, safe_indices(cut, margin, modes=2))
+            want = list(sparse_route_residuals("su11", t, cut, margin).values())
+            assert _chain_pair_residuals(chains, cut, sides) == pytest.approx(want, rel=1e-12)
+            for got, value in zip(_chain_pair_residuals(chains[::-1], cut, sides), want):
+                assert got != pytest.approx(value, rel=1e-12, abs=1e-13)
 
 
 class TestJRotation:

@@ -24,8 +24,9 @@ from fockforge import (
     su11_generators,
 )
 from fockforge.cli import RunConfig, _lie_reports, main
-from fockforge.config import COSH_GUARD, DEFAULT_TOLERANCES, TAIL_BOUND
+from fockforge.config import COSH_GUARD, DEFAULT_TOLERANCES, TAIL_BOUND, default_margin
 from fockforge.fock import annihilation, poisson_tail, safe_indices
+from fockforge.formulas import _hyperbolic_margin
 from fockforge.lie import (
     MODES,
     apply_sectors,
@@ -401,6 +402,24 @@ class TestSectorKernel:
         size = cut.dim ** MODES[realization]
         with pytest.raises(ValueError, match=f"acts on {size} rows, not on {size + 1}"):
             sector_product(realization, PolarParam.from_value(0.3), cut, np.ones((size + 1, 2)))
+
+    @pytest.mark.parametrize("algebra", ["su2", "su11"])
+    @pytest.mark.parametrize("n_max", [1, 4, 9, 24, 44])
+    def test_safe_rows_list_chains_by_ascending_label(self, algebra, n_max):
+        # the chain-pair conjugation pairs each chain with the one before it,
+        # so the chains through a safe block carry consecutive labels
+        cut = Cutoff(n_max)
+        kappa = PolarParam.from_polar(0.6, 0.3)
+        for margin in sorted({0, default_margin(n_max), _hyperbolic_margin(cut), n_max}):
+            cap = n_max - margin
+            labels = []
+            for _, index, _ in safe_rows(algebra, kappa, cut, safe_indices(cut, margin, modes=2)):
+                n1, n2 = np.divmod(index, cut.dim)
+                label = n1 + n2 if algebra == "su2" else n1 - n2
+                assert np.all(label == label[0])
+                labels.append(int(label[0]))
+            first = 0 if algebra == "su2" else -cap
+            assert labels == list(range(first, cap + 1))
 
     @pytest.mark.parametrize("algebra", ["su2", "su11"])
     @pytest.mark.parametrize("margin", [0, 2, 5])

@@ -47,7 +47,11 @@ COMMANDS = (
         for fmt in ("json", "csv")
         for check in SWEPT_CHECKS
     ]
-    # inadequate cutoffs: every check warns
+    # a small cutoff: check_J_rotation (exact on complete sectors) and
+    # check_SSS_commute (common phases, its default margin capped at the
+    # cutoff) pass; every other check fails, and those with a coherent
+    # amplitude also warn: check_SDS, check_phase_formula, full_swap,
+    # imperfect_clone and apply_beamsplitter
     + [["sweep", "--check", check, "--values", "0.2,0.7", "--nmax", "6"] for check in SWEPT_CHECKS]
     + [
         ["swap", "--a1", "1,0", "--a2", "0,1"],
