@@ -130,6 +130,15 @@ def schwinger_su11(cutoff: Cutoff) -> LieTriple:
     return LieTriple(plus, dagger(plus), third, "su11")
 
 
+def real_times(real: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``real @ z`` for a real matrix and a complex vector or (n, k) column
+    stack, as one float64 product on z's float view (n, 2k): numpy would
+    otherwise cast ``real`` to complex on every call."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    pairs = real @ z.view(float).reshape(z.shape[0], -1)
+    return pairs.view(complex).reshape(real.shape[:1] + z.shape[1:])
+
+
 @dataclass(frozen=True)
 class SectorBlock:
     """exp(r(e^{i phi} X+ - e^{-i phi} X-)) on one conserved chain of a
@@ -139,6 +148,8 @@ class SectorBlock:
     in chain order.  S = W mu W^T is the real symmetric tridiagonal matrix of
     the ladder coefficients and P = diag(e^{i k (phi + pi/2)}), k the chain
     position, so that P^dagger (e^{i phi} X+ - e^{-i phi} X-) P = -i S.
+    W (``vectors``) stays real: ``apply`` multiplies it into complex columns
+    through ``real_times``, and only ``matrix`` forms complex products.
     """
 
     index: np.ndarray
@@ -149,6 +160,9 @@ class SectorBlock:
     def matrix(self, rows=slice(None)) -> np.ndarray:
         """Rows ``rows`` of the block as a dense matrix, counting chain
         positions; by default the whole block."""
+        # complex, not real_times: a real GEMM need not give a row the same
+        # bits when another set of rows is asked for, and matrix(rows) must
+        # be matrix()[rows] bit for bit, as the dense-route tests assume
         left = self.phase[rows, None] * self.vectors[rows] * self.spectrum
         return left @ (self.vectors.T * self.phase.conj())
 
@@ -158,8 +172,8 @@ class SectorBlock:
         phase, spectrum = self.phase, self.spectrum
         if v.ndim > 1:  # every column of the stack takes the same factors
             phase, spectrum = phase[:, None], spectrum[:, None]
-        w = self.vectors.T @ (phase.conj() * v)
-        return phase * (self.vectors @ (spectrum * w))
+        w = real_times(self.vectors.T, phase.conj() * v)
+        return phase * real_times(self.vectors, spectrum * w)
 
 
 # each realization of the sector kernel and its number of modes

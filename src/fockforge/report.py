@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .fock import Cutoff, PolarParam
@@ -50,11 +51,17 @@ class Report:
 
     @property
     def worst_residual(self) -> float:
-        return max(self._asserted(self.residuals), default=0.0)
+        return _worst(self._asserted(self.residuals))
 
     @property
     def worst_fidelity_deficit(self) -> float:
-        return max((1.0 - v for v in self._asserted(self.fidelities)), default=0.0)
+        return _worst([1.0 - v for v in self._asserted(self.fidelities)])
+
+
+def _worst(values: list[float]) -> float:
+    """The largest value, NaN when any is NaN (``max`` alone skips a NaN
+    unless it comes first), 0.0 for none."""
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def make_report(

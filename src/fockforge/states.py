@@ -61,7 +61,7 @@ def coherent_with_deficit(alpha: PolarParam, cutoff: Cutoff) -> tuple[Ket, float
     # chain having a zero diagonal: its i^k is applied exactly and the real part
     # kept, so that a positive alpha gives an exactly real state
     k = np.arange(cutoff.dim)
-    column = block.vectors @ (block.spectrum * block.vectors[0])
+    column = lie.real_times(block.vectors, block.spectrum * block.vectors[0])
     real = (np.array([1, 1j, -1, -1j])[k % 4] * column).real
     return Ket(real * np.exp(1j * alpha.phase * k), 1, cutoff).normalize(), deficit
 

@@ -497,6 +497,91 @@ class TestSectorKernel:
         assert np.abs(column[keep] - want[keep]).max() <= 1e-13
 
 
+LAYOUTS = ["vector", "c-stack", "f-stack", "strided-column"]
+PRODUCT_KAPPAS = [PolarParam.from_polar(0.7, -1.2), PolarParam.from_value(0)]
+
+
+def _laid_out(rng, rows: int, layout: str) -> np.ndarray:
+    """Complex columns with ``rows`` rows: a vector, a C- or F-ordered
+    (rows, 3) stack, or one strided column of a wider stack."""
+    wide = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
+    if layout == "vector":
+        return wide[:, 0].copy()
+    if layout == "c-stack":
+        return wide[:, :3].copy()
+    if layout == "f-stack":
+        return np.asfortranarray(wide[:, :3])
+    return wide[:, 1]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The array's float words as integers, so that even -0.0 against 0.0 differs."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestRealProducts:
+    """``SectorBlock.apply`` multiplies the real W into complex columns as
+    float products (``real_times``); ``matrix`` keeps complex products."""
+
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    @pytest.mark.parametrize("n_max", [4, 13])
+    @pytest.mark.parametrize("kappa", PRODUCT_KAPPAS, ids=["kappa", "zero"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_block_apply_is_the_dense_block(self, realization, n_max, kappa, layout):
+        rng = np.random.default_rng(n_max)
+        for block in sector_blocks(realization, kappa, Cutoff(n_max)):
+            v = _laid_out(rng, block.index.size, layout)
+            before = v.copy()
+            got = block.apply(v)
+            want = block.matrix() @ v
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.linalg.norm(v)
+            np.testing.assert_array_equal(_bits(v), _bits(before))
+            if kappa.modulus == 0.0:
+                np.testing.assert_array_equal(_bits(got), _bits(v))
+
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    @pytest.mark.parametrize("n_max", [4, 13])
+    @pytest.mark.parametrize("kappa", PRODUCT_KAPPAS, ids=["kappa", "zero"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_products_are_the_dense_blocks(self, realization, n_max, kappa, layout):
+        cut = Cutoff(n_max)
+        modes = MODES[realization]
+        columns = _laid_out(np.random.default_rng(n_max), cut.dim ** modes, layout)
+        before = columns.copy()
+        want = np.empty(columns.shape, dtype=complex)
+        for block in sector_blocks(realization, kappa, cut):
+            want[block.index] = block.matrix() @ columns[block.index]
+        routes = {"sector_product": sector_product(realization, kappa, cut, columns)}
+        if columns.ndim == 1:
+            ket = Ket(columns, modes, cut)
+            routes["apply_sectors"] = apply_sectors(realization, kappa, ket).amplitudes
+        for route, got in routes.items():
+            assert got.shape == want.shape, route
+            assert np.abs(got - want).max() <= 1e-13 * np.linalg.norm(columns), route
+            if kappa.modulus == 0.0:
+                np.testing.assert_array_equal(_bits(got), _bits(columns), err_msg=route)
+        np.testing.assert_array_equal(_bits(columns), _bits(before))
+
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    def test_matrix_rows_are_the_whole_blocks_rows(self, realization):
+        # safe_rows reads a chain's rows as matrix(hit), and the dense routes
+        # read them from matrix(); the two agree bit for bit, as comparisons
+        # of residuals near round-off assume (test_matches_dense_squeeze_route)
+        # and as a real product of W need not give.  Each mask asks for two
+        # rows or more: numpy takes a single row through its matrix-vector
+        # path, whose last bits may differ
+        cut = Cutoff(40 if MODES[realization] == 1 else 12)
+        rng = np.random.default_rng(11)
+        for block in sector_blocks(realization, PolarParam.from_polar(0.7, -1.2), cut):
+            size = block.index.size
+            whole = block.matrix()
+            drawn = rng.random(size) < 0.5
+            drawn[rng.permutation(size)[:2]] = True
+            for mask in (drawn, np.arange(size) <= size // 2):
+                np.testing.assert_array_equal(_bits(block.matrix(mask)), _bits(whole[mask]))
+
+
 def _dense_gap(built: np.ndarray, alpha: PolarParam, cut: Cutoff) -> float:
     """Relative Frobenius gap between ``built`` and one unsplit dense expm of
     the displacement generator alpha a† - conj(alpha) a."""

@@ -18,9 +18,10 @@ NAN = math.nan
         ({"a": 1e-9, "b": 2e-7}, {}, (), False, 2e-7, 0.0),
         ({"a": 1e-9}, {"f": 1.0 - 1e-7}, (), False, 1e-9, 1e-7),
         ({"a": NAN, "b": 2e-9}, {}, (), False, NAN, 0.0),
-        # max skips a NaN after its first entry, so worst_residual does too
-        ({"a": 1e-9, "b": NAN}, {}, (), False, 1e-9, 0.0),
+        # a NaN is the worst entry wherever it sits, not only first
+        ({"a": 1e-9, "b": NAN}, {}, (), False, NAN, 0.0),
         ({"a": 1e-9}, {"f": NAN}, (), False, 1e-9, NAN),
+        ({"a": 1e-9}, {"f": 1.0, "g": NAN}, (), False, 1e-9, NAN),
         ({"a": 1e-9, "w": NAN}, {"f": 1.0}, ("w",), True, 1e-9, 0.0),
         ({"a": 1e-9, "w": 5.0}, {"f": 1.0, "g": NAN}, ("w", "g"), True, 1e-9, 0.0),
         ({"w": NAN}, {}, ("w",), True, 0.0, 0.0),
@@ -32,6 +33,7 @@ NAN = math.nan
         "nan-first-residual",
         "nan-last-residual",
         "nan-fidelity",
+        "nan-last-fidelity",
         "nan-unasserted-residual",
         "unasserted-over-and-nan-fidelity",
         "only-unasserted",

@@ -6,6 +6,11 @@ fockforge commands, run in-process against the package in CHECKOUT/src.
 Run it on two checkouts, or twice on one, and diff the outputs: equal lines
 mean byte-identical report bodies, warnings and exit codes.  Bodies are
 reproducible only at a fixed BLAS thread count, hence the variable.
+
+With ``--bodies DIR`` it also writes each command's stdout and stderr to
+DIR/01.out and DIR/01.err, DIR/02.out and so on, numbered in the order
+printed, so that two checkouts' bodies can be compared value by value; the
+printed lines do not change.
 """
 
 from __future__ import annotations
@@ -94,7 +99,10 @@ def _sha256(text: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path, help="repository root whose src/ is imported")
+    parser.add_argument("--bodies", type=Path, metavar="DIR", help="also write each stdout and stderr here")
     args = parser.parse_args()
+    if args.bodies is not None:
+        args.bodies.mkdir(parents=True, exist_ok=True)
 
     src = (args.checkout / "src").resolve()
     sys.path.insert(0, str(src))
@@ -104,12 +112,15 @@ def main() -> int:
     if Path(fockforge.cli.__file__).resolve().parent != src / "fockforge":
         sys.exit(f"imported fockforge from {fockforge.cli.__file__}, not {src}")
 
-    for argv in COMMANDS:
+    for number, argv in enumerate(COMMANDS, 1):
         out, err = io.StringIO(), io.StringIO()
         # catch_warnings: a fresh filter state per command, as in a new process
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with warnings.catch_warnings():
                 code = fockforge.cli.main(argv)
+        if args.bodies is not None:
+            (args.bodies / f"{number:02d}.out").write_text(out.getvalue())
+            (args.bodies / f"{number:02d}.err").write_text(err.getvalue())
         digests = f"stdout={_sha256(out.getvalue())} stderr={_sha256(err.getvalue())}"
         print(f"exit={code} {digests}  {' '.join(argv)}", flush=True)
     return 0
