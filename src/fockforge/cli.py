@@ -51,7 +51,6 @@ from .report import Report, make_report
 from .states import coherent, fidelity, perelomov_su11, vacuum
 from .universal_swap import cnot_factorization, no_cloning_witness, swap_matrix, apply_swap
 
-ENV_NMAX = "FOCKFORGE_NMAX"
 DEFAULT_TOL = 1e-6
 DEFAULT_SEED = 7
 VERIFY_DRAWS = 3
@@ -91,33 +90,27 @@ def _out_error(path: str, reason: str) -> ConfigError:
 
 
 def _build_config(args) -> RunConfig:
-    n_max, source = args.nmax, "--nmax"
-    if n_max is None:
-        env = os.environ.get(ENV_NMAX)
-        if env is not None:
-            source = ENV_NMAX
-            try:
-                n_max = int(env)
-            except ValueError:
-                raise ConfigError(f"{ENV_NMAX} must be an integer, got {env!r}")
+    n_max = args.nmax
     if n_max is not None and n_max < 1:
-        raise ConfigError(f"{source} must be >= 1, got {n_max}")
+        raise ConfigError(f"--nmax must be >= 1, got {n_max}")
     if n_max is not None and n_max > MAX_NMAX:
-        raise ConfigError(f"{source} must be at most {MAX_NMAX}")
+        raise ConfigError(f"--nmax must be at most {MAX_NMAX}")
     margin = None
-    if args.margin is not None and args.margin != "auto":
+    text = getattr(args, "margin", None)  # verify-all and sweep take --margin
+    if text is not None and text != "auto":
         try:
-            margin = int(args.margin)
+            margin = int(text)
         except ValueError:
-            raise ConfigError(f"--margin must be an integer or 'auto', got {args.margin!r}")
+            raise ConfigError(f"--margin must be an integer or 'auto', got {text!r}")
         if margin < 0:
             raise ConfigError("--margin must be non-negative")
         if n_max is not None and margin > n_max:
-            raise ConfigError(f"--margin {margin} exceeds {source} {n_max}")
+            raise ConfigError(f"--margin {margin} exceeds --nmax {n_max}")
     if not math.isfinite(args.tol) or args.tol <= 0:
         raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    seed = getattr(args, "seed", DEFAULT_SEED)  # verify-all alone draws
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
     if args.out:
         # fail before any check runs; the write itself still reports the rest
         if os.path.isdir(args.out):
@@ -128,7 +121,7 @@ def _build_config(args) -> RunConfig:
         n_max=n_max,
         margin=margin,
         tolerance=args.tol,
-        seed=args.seed,
+        seed=seed,
         output_format=args.format,
         output_path=args.out,
     )
@@ -238,7 +231,7 @@ class Check:
     fidelities: tuple[str, ...]
     draws: Callable  # rng -> verify-all's parameter tuples, in draw order
     sweep: Callable  # swept value -> parameter tuple
-    margin: bool = True  # whether the function takes margin=
+    margin: bool = True  # whether the function takes margin=, and so a sweep --margin
 
     def run(self, params: tuple, config: RunConfig) -> Report:
         kwargs = {"cutoff": config.cutoff(), "tolerance": config.tolerance}
@@ -465,6 +458,8 @@ def cmd_sweep(config: RunConfig, check_name: str, values: list[float]) -> int:
         print(f"registered: {', '.join(sorted(checks))}", file=sys.stderr)
         return 2
     check = checks[check_name]
+    if config.margin is not None and not check.margin:
+        raise ConfigError(f"--margin does not apply to {check_name}, which compares whole states")
 
     reports, messages = _run_collecting_warnings(
         lambda: [(value, check.run(check.sweep(value), config)) for value in values]
@@ -513,11 +508,7 @@ def _parse_values(text: str) -> list[float]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--nmax", type=int, default=None, help="override the truncation level")
-    common.add_argument(
-        "--margin", default=None, help="safe-projector margin (integer or 'auto')"
-    )
     common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="pass/fail tolerance")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for draws")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write the report body to this path")
 
@@ -528,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify-all", parents=[common], help="run the full verification suite")
+    p_all = sub.add_parser("verify-all", parents=[common], help="run the full verification suite")
+    p_all.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for draws")
 
     p_swap = sub.add_parser("swap", parents=[common], help="swap two coherent states")
     p_swap.add_argument("--a1", required=True, help="first amplitude: re,im or mod@phase")
@@ -545,6 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", default="", help="comma-separated values of the swept parameter: "
         "a modulus, or the angle t in radians for check_phase_formula (see README)"
     )
+    # each subcommand takes only the flags it reads
+    for p in (p_all, p_sweep):
+        p.add_argument("--margin", default=None, help="safe-projector margin (integer or 'auto')")
     return parser
 
 

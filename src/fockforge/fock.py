@@ -175,10 +175,10 @@ class Operator:
         return self._like(-self.entries)
 
     def apply(self, ket: "Ket") -> "Ket":
-        """Matrix-vector application; the result keeps the input's norm flag off."""
+        """Matrix-vector application."""
         if ket.modes != self.modes or ket.cutoff != self.cutoff:
             raise ValueError("operator and ket live on different spaces")
-        return Ket(self.entries @ ket.amplitudes, self.modes, self.cutoff, normalized=False)
+        return Ket(self.entries @ ket.amplitudes, self.modes, self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,6 @@ class Ket:
     amplitudes: np.ndarray
     modes: int
     cutoff: Cutoff
-    normalized: bool = False
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -199,8 +198,6 @@ class Ket:
         expected = self.cutoff.dim ** self.modes
         if amps.shape[0] != expected:
             raise ValueError(f"dim {amps.shape[0]} inconsistent with cutoff/modes")
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-12:
-            raise ValueError("normalized flag set but norm deviates from 1 beyond 1e-12")
 
     @property
     def dim(self) -> int:
@@ -214,7 +211,7 @@ class Ket:
         n = self.norm
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return Ket(self.amplitudes / n, self.modes, self.cutoff, normalized=True)
+        return Ket(self.amplitudes / n, self.modes, self.cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +259,7 @@ def tensor_ket(a: Ket, b: Ket) -> Ket:
         raise ValueError("tensor factors must share a cutoff")
     if a.modes != 1 or b.modes != 1:
         raise ValueError("tensor_ket is defined for single-mode factors only")
-    return Ket(
-        np.kron(a.amplitudes, b.amplitudes),
-        2,
-        a.cutoff,
-        normalized=a.normalized and b.normalized,
-    )
+    return Ket(np.kron(a.amplitudes, b.amplitudes), 2, a.cutoff)
 
 
 # ---------------------------------------------------------------------------

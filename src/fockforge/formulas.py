@@ -25,7 +25,7 @@ from .config import DEFAULT_TOLERANCES, _guard_cosh, default_margin
 from .fock import Cutoff, Ket, PolarParam, ladder_weights, safe_indices, tail_warning
 from .lie import apply_sectors, safe_block, safe_rows, sector_product
 from .report import Report, make_report
-from .states import fidelity, phase_factors, vacuum
+from .states import coherent_closed_form, fidelity, phase_factors, vacuum
 
 # Size of the retained low-occupation block for hyperbolic-conjugation checks.
 HYPERBOLIC_SAFE_BLOCK = 12
@@ -296,8 +296,8 @@ def check_SDS(
     d_pred = safe_block("hw", PolarParam.from_value(predicted), cutoff, keep, keep)
     residuals = {"displacement_conjugation": float(np.linalg.norm(s @ ds - d_pred, "fro"))}
 
-    # Phase-locked special cases, verified on states, S(z)† being S(-z);
-    # fidelity renormalizes.
+    # Phase-locked special cases, verified on states, S(z)† being S(-z),
+    # against closed-form coherent states; fidelity renormalizes.
     vac = vacuum(cutoff)
     fidelities = {}
     for key, offset, scale in (
@@ -308,7 +308,7 @@ def check_SDS(
         inverse = PolarParam.from_polar(epsilon.modulus, locked.phase + math.pi)
         displaced = apply_sectors("hw", alpha, apply_sectors("squeeze", inverse, vac))
         out = apply_sectors("squeeze", locked, displaced)
-        target = apply_sectors("hw", PolarParam.from_value(scale * alpha.value), vac)
+        target = coherent_closed_form(PolarParam.from_value(scale * alpha.value), cutoff)
         fidelities[key] = fidelity(out, target)
 
     return make_report(
@@ -402,10 +402,11 @@ def check_phase_formula(
         ),
         "vacuum_invariance": float(np.linalg.norm(v * vac.amplitudes - vac.amplitudes)),
     }
-    # the coherent state is this displaced vacuum, renormalized
+    # the coherent state is this displaced vacuum, renormalized; the target is
+    # closed form, so that a wrong kernel cannot agree with itself
     displaced = apply_sectors("hw", alpha, vac).normalize()
     rotated_state = Ket(v * displaced.amplitudes, 1, cutoff)
-    target = apply_sectors("hw", rotated, vac).normalize()
+    target = coherent_closed_form(rotated, cutoff)
     fidelities = {"rotated_state": fidelity(rotated_state, target)}
     return make_report(
         "check_phase_formula",

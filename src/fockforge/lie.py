@@ -162,7 +162,9 @@ class SectorBlock:
         positions; by default the whole block."""
         # complex, not real_times: a real GEMM need not give a row the same
         # bits when another set of rows is asked for, and matrix(rows) must
-        # be matrix()[rows] bit for bit, as the dense-route tests assume
+        # be matrix()[rows] bit for bit, as the dense-route tests assume.
+        # That holds for two rows or more; numpy takes one row through its
+        # matrix-vector path, a few eps of the row's largest entry off
         left = self.phase[rows, None] * self.vectors[rows] * self.spectrum
         return left @ (self.vectors.T * self.phase.conj())
 

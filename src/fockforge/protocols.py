@@ -19,7 +19,9 @@ from .formulas import (
 # beamsplitter_UJ is bound here only because perfbench/run.py wraps protocols.beamsplitter_UJ
 from .lie import apply_sectors, beamsplitter_UJ
 from .report import Report, make_report
-from .states import coherent_with_deficit, fidelity, occupation_expectations, phase_factors
+from .states import (
+    coherent_closed_form, coherent_with_deficit, fidelity, occupation_expectations, phase_factors
+)
 
 SWAP_CUTOFF = Cutoff(36)
 CLONE_CUTOFF = Cutoff(40)
@@ -50,14 +52,6 @@ class TwoModeProtocolResult:
         }
 
 
-def _coherent_pair(
-    alpha1: PolarParam, alpha2: PolarParam, cutoff: Cutoff
-) -> tuple[Ket, float]:
-    k1, d1 = coherent_with_deficit(alpha1, cutoff)
-    k2, d2 = coherent_with_deficit(alpha2, cutoff)
-    return tensor_ket(k1, k2), max(d1, d2)
-
-
 def _beamsplitter_circuit(
     label: str,
     inputs: tuple[PolarParam, PolarParam],
@@ -76,14 +70,16 @@ def _beamsplitter_circuit(
     # No input or output modulus exceeds it, the circuit keeping |a1|^2 + |a2|^2,
     # so this one warning covers every coherent state built below.
     tail_warning(math.hypot(inputs[0].modulus, inputs[1].modulus), cutoff, context=label)
-    incoming, in_deficit = _coherent_pair(*inputs, cutoff)
+    (k1, d1), (k2, d2) = (coherent_with_deficit(a, cutoff) for a in inputs)
+    incoming, in_deficit = tensor_ket(k1, k2), max(d1, d2)
     ket = apply_sectors("su2", kappa, incoming)
     if phases is not None:
         t1, t2 = phases
         factors = np.outer(phase_factors(t1, cutoff), phase_factors(t2, cutoff)).reshape(-1)
         ket = Ket(ket.amplitudes * factors, 2, cutoff)
     output = ket.normalize()
-    predicted, _ = _coherent_pair(*outputs, cutoff)
+    # the prediction is closed form, so that a wrong kernel cannot agree with itself
+    predicted = tensor_ket(*(coherent_closed_form(out, cutoff) for out in outputs))
     return incoming, in_deficit, output, predicted, fidelity(output, predicted)
 
 

@@ -30,7 +30,7 @@ from .lie import SpinJ, SpinK, sector_operator
 def vacuum(cutoff: Cutoff, modes: int = 1) -> Ket:
     amps = np.zeros(cutoff.dim ** modes, dtype=complex)
     amps[0] = 1.0
-    return Ket(amps, modes, cutoff, normalized=True)
+    return Ket(amps, modes, cutoff)
 
 
 def displacement(alpha: PolarParam, cutoff: Cutoff) -> Operator:
@@ -80,9 +80,23 @@ def coherent_series(alpha: PolarParam, cutoff: Cutoff) -> Ket:
     Independent of the matrix-exponential route; serves as its cross-check.
     Raises ValueError when |a|^2 overflows a float.
     """
+    log_mag, phases = _coherent_terms(alpha, cutoff)
+    return Ket(np.exp(log_mag) * phases, 1, cutoff)
+
+
+def coherent_closed_form(alpha: PolarParam, cutoff: Cutoff) -> Ket:
+    """``coherent_series`` renormalized on the cutoff, its largest modulus
+    scaled to one before exponentiating, so that an amplitude whose series
+    underflows at every n <= n_max still gives its state."""
+    log_mag, phases = _coherent_terms(alpha, cutoff)
+    return Ket(np.exp(log_mag - log_mag.max()) * phases, 1, cutoff).normalize()
+
+
+def _coherent_terms(alpha: PolarParam, cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
+    """ln|<n|alpha>| and e^{i n phase} for n = 0 ... n_max."""
     n = np.arange(cutoff.dim)
     if alpha.modulus == 0.0:
-        return Ket(np.eye(cutoff.dim, dtype=complex)[0], 1, cutoff)
+        return np.where(n == 0, 0.0, -np.inf), np.ones(cutoff.dim)
     mean = alpha.modulus * alpha.modulus
     if math.isinf(mean):
         raise ValueError(
@@ -90,8 +104,7 @@ def coherent_series(alpha: PolarParam, cutoff: Cutoff) -> Ket:
         )
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(cutoff.dim)])
     log_mag = -0.5 * mean + n * math.log(alpha.modulus) - 0.5 * log_factorial
-    amps = np.exp(log_mag) * np.exp(1j * n * alpha.phase)
-    return Ket(amps, 1, cutoff, normalized=False)
+    return log_mag, np.exp(1j * n * alpha.phase)
 
 
 def squeeze(z: PolarParam, cutoff: Cutoff) -> Operator:
@@ -123,7 +136,7 @@ def perelomov_su2(z: PolarParam, spin: SpinJ) -> Ket:
     2J = 1029, and z = 0 gives the exact lowest weight."""
     two_j, r = spin.two_j, z.modulus
     if r == 0.0:
-        return Ket(np.eye(spin.dim, dtype=complex)[0], 1, Cutoff(two_j), normalized=True)
+        return Ket(np.eye(spin.dim, dtype=complex)[0], 1, Cutoff(two_j))
     n = np.arange(spin.dim)
     cos, sin = math.cos(r), math.sin(r)
     log_binom, binom = np.empty(spin.dim), 1
@@ -133,7 +146,7 @@ def perelomov_su2(z: PolarParam, spin: SpinJ) -> Ket:
     mags = np.exp(0.5 * log_binom + (two_j - n) * math.log(abs(cos)) + n * math.log(abs(sin)))
     # the signs of cos^(2J-n) and sin^n, which the logs drop
     mags *= math.copysign(1.0, cos) ** (two_j - n) * math.copysign(1.0, sin) ** n
-    return Ket(mags * np.exp(1j * z.phase * n), 1, Cutoff(two_j), normalized=True)
+    return Ket(mags * np.exp(1j * z.phase * n), 1, Cutoff(two_j))
 
 
 def _log_rising_binomial(two_k: float, n: np.ndarray) -> np.ndarray:
@@ -214,7 +227,7 @@ def perelomov_su11(z: PolarParam, spin: SpinK) -> Ket:
         + n * math.log(math.tanh(r))
         - two_k * math.log(math.cosh(r))
     )
-    return Ket(np.exp(log_mag) * np.exp(1j * z.phase * n), 1, spin.cutoff, normalized=False)
+    return Ket(np.exp(log_mag) * np.exp(1j * z.phase * n), 1, spin.cutoff)
 
 
 def fidelity(x: Ket, y: Ket) -> float:

@@ -85,7 +85,7 @@ def apply_swap(a: Ket, b: Ket) -> Ket:
         raise ValueError("apply_swap expects single-mode kets")
     joint = np.kron(a.amplitudes, b.amplitudes)
     swapped = swap_matrix(a.dim).apply(joint)
-    return Ket(swapped, 2, a.cutoff, normalized=a.normalized and b.normalized)
+    return Ket(swapped, 2, a.cutoff)
 
 
 def cnot_factorization() -> tuple[PermutationOperator, PermutationOperator, PermutationOperator]:

@@ -62,7 +62,7 @@ def number_state(n: int, cutoff: Cutoff) -> Ket:
         raise ValueError(f"occupation {n} outside [0, {cutoff.n_max}]")
     amps = np.zeros(cutoff.dim, dtype=complex)
     amps[n] = 1.0
-    return Ket(amps, 1, cutoff, normalized=True)
+    return Ket(amps, 1, cutoff)
 
 
 def squeezed_coherent(beta: PolarParam, alpha: PolarParam, cutoff: Cutoff) -> Ket:

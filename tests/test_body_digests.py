@@ -18,8 +18,7 @@ def _run(monkeypatch, capsys, *flags):
         ["swap", "--a1", "1,0", "--a2", "0,1"],
         ["sweep", "--check", "check_SDS", "--values", "0.7", "--nmax", "6"],
     ])
-    # the tool drops FOCKFORGE_NMAX and puts src/ on the path; both come back
-    monkeypatch.delenv("FOCKFORGE_NMAX", raising=False)
+    # the tool puts src/ on the path; it comes back
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "argv", ["body_digests.py", str(ROOT), *flags])
     assert tool.main() == 0

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import fockforge.cli
+import fockforge.lie
 import fockforge.protocols
 from fockforge.cli import FORMULA_CHECKS, PROTOCOL_CHECKS, RunConfig, _json_text, main
+from fockforge.fock import PolarParam
 from fockforge.report import make_report
 
 
@@ -33,20 +36,18 @@ class TestConfigValidation:
         code, _, _ = run(["verify-all", "--nmax", "0"], capsys)
         assert code == 2
 
-    def test_oversize_nmax_is_config_error(self, capsys, monkeypatch):
+    def test_oversize_nmax_is_config_error(self, capsys):
         # 10**400 does not convert to a float; no cutoff past MAX_NMAX fits an array
         huge = str(10**400)
         code, out, err = run(["swap", "--a1", "1,0", "--a2", "0,1", "--nmax", huge], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: --nmax must be at most {fockforge.cli.MAX_NMAX}\n"
-        monkeypatch.setenv("FOCKFORGE_NMAX", huge)
-        code, _, err = run(["clone", "--alpha", "1,0"], capsys)
-        assert code == 2
-        assert err == f"error: FOCKFORGE_NMAX must be at most {fockforge.cli.MAX_NMAX}\n"
 
     def test_margin_exceeding_nmax_is_config_error(self, capsys):
-        code, _, _ = run(["swap", "--a1", "1,0", "--a2", "0,1", "--nmax", "8", "--margin", "9"], capsys)
-        assert code == 2
+        argv = ["sweep", "--check", "check_phase_formula", "--values", "0.4", "--nmax", "8"]
+        code, out, err = run([*argv, "--margin", "9"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --margin 9 exceeds --nmax 8\n"
 
     def test_small_nmax_caps_the_default_sss_margin(self, capsys):
         # check_SSS_commute's default margin never exceeds the cutoff, so a
@@ -183,6 +184,14 @@ class TestSwapCommand:
         code, _, err = run(["swap", "--a1", "2@0", "--a2", "2@1", "--nmax", "35"], capsys)
         assert code == 0
         assert err == ""
+
+    def test_prediction_past_every_float_fails_the_check(self, capsys):
+        # the predicted pair's series underflows at every n <= 36; its closed
+        # form is renormalized in logs, so the check fails rather than the command
+        code, out, err = run(["swap", "--a1", "45,0", "--a2", "0,1"], capsys)
+        assert code == 1
+        assert json.loads(out)["fidelity"] < 1e-3
+        assert "cutoff inadequate" in err
 
     def test_csv_output(self, capsys):
         code, out, _ = run(["swap", "--a1", "0.5,0", "--a2", "0,0.5", "--format", "csv"], capsys)
@@ -367,24 +376,92 @@ class TestSweepCommand:
             assert rep["fidelities"]["clone"] >= 1 - 1e-6
 
 
-class TestEnvironmentOverride:
-    def test_env_nmax_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("FOCKFORGE_NMAX", "6")
-        code, _, err = run(["swap", "--a1", "2,0", "--a2", "0,0"], capsys)
-        assert code == 1
-        assert "cutoff inadequate" in err
+class TestFlags:
+    """Each subcommand accepts only the flags it reads."""
 
-    def test_env_nmax_below_one_names_the_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("FOCKFORGE_NMAX", "0")
-        code, out, err = run(["verify-all"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: FOCKFORGE_NMAX must be >= 1, got 0\n"
+    def test_each_subcommand_takes_the_flags_it_reads(self):
+        sub = next(
+            a for a in fockforge.cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        common = {"--nmax", "--tol", "--format", "--out"}
+        assert flags == {
+            "verify-all": common | {"--margin", "--seed"},
+            "swap": common | {"--a1", "--a2", "--delta"},
+            "clone": common | {"--alpha", "--delta"},
+            "sweep": common | {"--margin", "--check", "--values"},
+        }
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("FOCKFORGE_NMAX", "4")
-        code, _, _ = run(["swap", "--a1", "0.4,0", "--a2", "0,0.4", "--nmax", "24"], capsys)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swap", "--a1", "1,0", "--a2", "0,1", "--margin", "3"],
+            ["swap", "--a1", "1,0", "--a2", "0,1", "--seed", "3"],
+            ["clone", "--alpha", "1,0", "--margin", "3"],
+            ["clone", "--alpha", "1,0", "--seed", "3"],
+            ["sweep", "--check", "check_phase_formula", "--values", "0.4", "--seed", "3"],
+        ],
+        ids=["swap-margin", "swap-seed", "clone-margin", "clone-seed", "sweep-seed"],
+    )
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    @pytest.mark.parametrize("check", ["full_swap", "imperfect_clone", "apply_beamsplitter"])
+    def test_sweep_margin_of_a_whole_state_protocol_is_usage_error(self, check, capsys):
+        # Check.margin is what decides
+        assert not {c.name: c for c in PROTOCOL_CHECKS}[check].margin
+        argv = ["sweep", "--check", check, "--values", "0.5", "--margin", "3"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --margin does not apply to {check}, which compares whole states\n"
+
+    def test_sweep_margin_of_a_formula_check_runs(self, capsys):
+        argv = ["sweep", "--check", "check_phase_formula", "--values", "0.4", "--margin", "3"]
+        code, out, _ = run(argv, capsys)
         assert code == 0
+        assert json.loads(out)["reports"][0]["margin"] == 3
+
+    def test_environment_sets_no_cutoff(self, capsys, monkeypatch):
+        # --nmax is the only cutoff override; no environment variable sets one
+        argv = ["verify-all", "--seed", "7"]
+        plain = run(argv, capsys)
+        monkeypatch.setenv("FOCKFORGE_NMAX", "6")
+        assert run(argv, capsys) == plain
+        assert plain[0] == 0
+
+
+class TestHwMutationMap:
+    """verify-all with the Heisenberg-Weyl chain's kappa mutated inside the
+    kernel: the reports whose other side is closed form fail."""
+
+    @pytest.mark.parametrize(
+        "mutate, failing",
+        [
+            (lambda k: PolarParam.from_polar(1.01 * k.modulus, k.phase),
+             {"apply_beamsplitter", "check_SDS", "check_phase_formula", "full_swap",
+              "imperfect_clone"}),
+            (lambda k: PolarParam.from_polar(k.modulus, k.phase + 0.01),
+             {"check_SDS", "check_phase_formula"}),
+        ],
+        ids=["modulus-x1.01", "phase+0.01"],
+    )
+    def test_failing_reports(self, mutate, failing, capsys, monkeypatch):
+        blocks = fockforge.lie.sector_blocks  # its one binding
+
+        def mutated(realization, kappa, *args, **kwargs):
+            return blocks(realization, mutate(kappa) if realization == "hw" else kappa,
+                          *args, **kwargs)
+
+        monkeypatch.setattr(fockforge.lie, "sector_blocks", mutated)
+        code, out, _ = run(["verify-all", "--seed", "7"], capsys)
+        assert code == 1
+        assert {r["name"] for r in json.loads(out)["reports"] if not r["passed"]} == failing
 
 
 class TestOutputFile:
@@ -520,8 +597,6 @@ class TestDeterminism:
                     "0.5,1.5",
                     "--format",
                     "csv",
-                    "--seed",
-                    "11",
                     "--out",
                     str(path),
                 ],

@@ -451,11 +451,6 @@ class TestTailRule:
 
 
 class TestKet:
-    def test_normalized_flag_validated(self):
-        with pytest.raises(ValueError):
-            Ket(np.array([2.0, 0.0], dtype=complex), 1, Cutoff(1), normalized=True)
-
     def test_normalize(self):
         k = Ket(np.array([3.0, 4.0], dtype=complex), 1, Cutoff(1)).normalize()
         assert k.norm == pytest.approx(1.0)
-        assert k.normalized

@@ -568,11 +568,12 @@ class TestRealProducts:
         # safe_rows reads a chain's rows as matrix(hit), and the dense routes
         # read them from matrix(); the two agree bit for bit, as comparisons
         # of residuals near round-off assume (test_matches_dense_squeeze_route)
-        # and as a real product of W need not give.  Each mask asks for two
-        # rows or more: numpy takes a single row through its matrix-vector
-        # path, whose last bits may differ
+        # and as a real product of W need not give.  That holds for masks of
+        # two rows or more: numpy takes a single row through its
+        # matrix-vector path, whose last bits may differ by a few eps
         cut = Cutoff(40 if MODES[realization] == 1 else 12)
         rng = np.random.default_rng(11)
+        eps = np.finfo(float).eps
         for block in sector_blocks(realization, PolarParam.from_polar(0.7, -1.2), cut):
             size = block.index.size
             whole = block.matrix()
@@ -580,6 +581,9 @@ class TestRealProducts:
             drawn[rng.permutation(size)[:2]] = True
             for mask in (drawn, np.arange(size) <= size // 2):
                 np.testing.assert_array_equal(_bits(block.matrix(mask)), _bits(whole[mask]))
+            for row in range(size):
+                (got,) = block.matrix(np.arange(size) == row)
+                assert np.abs(got - whole[row]).max() <= 8 * eps * np.abs(whole[row]).max()
 
 
 def _dense_gap(built: np.ndarray, alpha: PolarParam, cut: Cutoff) -> float:

@@ -36,6 +36,7 @@ from fockforge import (
 )
 from fockforge.config import PERELOMOV_AMPLITUDE_BOUND
 from fockforge.fock import safe_indices
+from fockforge.states import coherent_closed_form
 from second_routes import number_state, squeezed_coherent
 
 RNG = np.random.default_rng(41)
@@ -158,6 +159,22 @@ class TestCoherent:
             warnings.simplefilter("ignore", CutoffWarning)
             got = coherent(alpha, cut).amplitudes
         assert np.abs(got - column / np.linalg.norm(column)).max() <= 2e-14
+
+    @pytest.mark.parametrize("modulus", [0.0, 0.3, 1.5, 4.0, 50.0])
+    def test_closed_form_is_the_renormalized_series(self, modulus):
+        # second route: a^n / sqrt(n!) in floats, with no e^{-|a|^2/2}; at
+        # |a| = 50 the series itself underflows at every n <= 10
+        alpha, cut = PolarParam.from_polar(modulus, 0.8), Cutoff(10)
+        n = np.arange(cut.dim)
+        terms = np.array([modulus**k / math.sqrt(math.factorial(k)) for k in n])
+        want = terms * np.exp(1j * n * alpha.phase) / np.linalg.norm(terms)
+        got = coherent_closed_form(alpha, cut)
+        assert np.abs(got.amplitudes - want).max() <= 1e-14
+        series = coherent_series(alpha, cut)
+        if modulus < 50.0:
+            assert np.abs(got.amplitudes * series.norm - series.amplitudes).max() <= 1e-15
+        else:
+            assert series.norm == 0.0
 
     @pytest.mark.parametrize("value", [1e-300, 1.0, 2.5, 8.0])
     def test_positive_amplitude_gives_real_state(self, value):

@@ -1,4 +1,4 @@
-"""Exit code and sha256 digests of stdout and stderr for a fixed list of
+"""Exit code and sha256 digests of stdout and stderr for a fixed list of 59
 fockforge commands, run in-process against the package in CHECKOUT/src.
 
     OPENBLAS_NUM_THREADS=1 python tools/body_digests.py CHECKOUT > digests.txt
@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -88,6 +87,9 @@ COMMANDS = (
         # the squeezes' chain blocks in check_SSS_commute at margin 0, where every
         # chain position is inside the safe block
         ["sweep", "--check", "check_SSS_commute", "--values", "0.3,1.2", "--nmax", "12", "--margin", "0"],
+        # flags a command does not read: exit 2
+        ["swap", "--a1", "1,0", "--a2", "0,1", "--seed", "3"],
+        ["sweep", "--check", "full_swap", "--values", "0.5", "--margin", "3"],
     ]
 )
 
@@ -106,7 +108,6 @@ def main() -> int:
 
     src = (args.checkout / "src").resolve()
     sys.path.insert(0, str(src))
-    os.environ.pop("FOCKFORGE_NMAX", None)  # it would move every default cutoff
     import fockforge.cli
 
     if Path(fockforge.cli.__file__).resolve().parent != src / "fockforge":
