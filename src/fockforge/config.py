@@ -33,9 +33,12 @@ COSH_GUARD = 3.0
 
 
 def _guard_cosh(modulus: float, label: str):
-    if math.cosh(modulus) > COSH_GUARD:
+    # cosh overflows a float past a modulus of about 710.5; above twice
+    # acosh(COSH_GUARD) it exceeds the guard anyway, so it is evaluated there
+    cosh = math.cosh(min(modulus, 2 * math.acosh(COSH_GUARD)))
+    if cosh > COSH_GUARD:
         raise ValueError(
-            f"guard violated: cosh|{label}| = {math.cosh(modulus):.3f} exceeds {COSH_GUARD}"
+            f"guard violated: cosh|{label}| exceeds {COSH_GUARD} at |{label}| = {modulus:.4g}"
         )
 
 

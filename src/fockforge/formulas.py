@@ -284,30 +284,36 @@ def check_SDS(
     amplified = math.exp(epsilon.modulus) * alpha.modulus
     tail_warning(amplified, cutoff, context="conjugated displacement")
 
-    # S's safe rows, and D(alpha) S† from D's one Heisenberg-Weyl chain
-    # applied to S's rows as columns, so no whole D(alpha) is formed
-    keep = safe_indices(cutoff, margin, modes=1)
-    s = safe_block("squeeze", epsilon, cutoff, keep)
-    ds = sector_product("hw", alpha, cutoff, s.conj().T)
-    predicted = (
-        math.cosh(epsilon.modulus) * alpha.value
-        + cmath.exp(1j * epsilon.phase) * math.sinh(epsilon.modulus) * alpha.conj
-    )
-    d_pred = safe_block("hw", PolarParam.from_value(predicted), cutoff, keep, keep)
-    residuals = {"displacement_conjugation": float(np.linalg.norm(s @ ds - d_pred, "fro"))}
-
     # Phase-locked special cases, verified on states, S(z)† being S(-z),
     # against closed-form coherent states; fidelity renormalizes.
     vac = vacuum(cutoff)
-    fidelities = {}
+    runs = []  # (key, z, the rescaling, S(-z)|0>)
     for key, offset, scale in (
         ("scale_up_state", 0.0, math.exp(epsilon.modulus)),
         ("scale_down_state", math.pi, math.exp(-epsilon.modulus)),
     ):
         locked = PolarParam.from_polar(epsilon.modulus, 2 * alpha.phase + offset)
         inverse = PolarParam.from_polar(epsilon.modulus, locked.phase + math.pi)
-        displaced = apply_sectors("hw", alpha, apply_sectors("squeeze", inverse, vac))
-        out = apply_sectors("squeeze", locked, displaced)
+        runs.append((key, locked, scale, apply_sectors("squeeze", inverse, vac).amplitudes))
+
+    # S's safe rows, then D(alpha) times S† and both runs' S(-z)|0> stacked
+    # as columns: D's one Heisenberg-Weyl chain is applied once, and no
+    # whole D(alpha) is formed
+    keep = safe_indices(cutoff, margin, modes=1)
+    s = safe_block("squeeze", epsilon, cutoff, keep)
+    columns = np.column_stack([s.conj().T] + [run[-1] for run in runs])
+    ds = sector_product("hw", alpha, cutoff, columns)
+    predicted = (
+        math.cosh(epsilon.modulus) * alpha.value
+        + cmath.exp(1j * epsilon.phase) * math.sinh(epsilon.modulus) * alpha.conj
+    )
+    d_pred = safe_block("hw", PolarParam.from_value(predicted), cutoff, keep, keep)
+    residuals = {
+        "displacement_conjugation": float(np.linalg.norm(s @ ds[:, : keep.size] - d_pred, "fro"))
+    }
+    fidelities = {}
+    for (key, locked, scale, _), displaced in zip(runs, ds[:, keep.size :].T):
+        out = apply_sectors("squeeze", locked, Ket(displaced, 1, cutoff))
         target = coherent_closed_form(PolarParam.from_value(scale * alpha.value), cutoff)
         fidelities[key] = fidelity(out, target)
 

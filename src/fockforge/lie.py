@@ -157,16 +157,18 @@ class SectorBlock:
     vectors: np.ndarray
     spectrum: np.ndarray
 
-    def matrix(self, rows=slice(None)) -> np.ndarray:
-        """Rows ``rows`` of the block as a dense matrix, counting chain
-        positions; by default the whole block."""
+    def matrix(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Rows ``rows`` and columns ``cols`` of the block as a dense matrix,
+        counting chain positions; by default the whole block."""
         # complex, not real_times: a real GEMM need not give a row the same
         # bits when another set of rows is asked for, and matrix(rows) must
         # be matrix()[rows] bit for bit, as the dense-route tests assume.
         # That holds for two rows or more; numpy takes one row through its
-        # matrix-vector path, a few eps of the row's largest entry off
+        # matrix-vector path, a few eps of the row's largest entry off.
+        # Fewer columns change the product's shape, so matrix(rows, cols)
+        # is matrix(rows)[:, cols] to a few eps, not bit for bit
         left = self.phase[rows, None] * self.vectors[rows] * self.spectrum
-        return left @ (self.vectors.T * self.phase.conj())
+        return left @ (self.vectors[cols].T * self.phase[cols].conj())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The block times a chain vector, or times each column of a
@@ -346,20 +348,22 @@ def safe_block(
 ) -> np.ndarray:
     """Rows ``keep`` of exp(kappa X+ - conj(kappa) X-) as one dense array,
     at the flat columns ``cols`` when they are given and at every column
-    otherwise, in the order of ``keep`` and ``cols``; built from ``safe_rows``,
-    so only the chains that meet ``keep`` are exponentiated."""
+    otherwise, in the order of ``keep`` and ``cols``.  Only the chains that
+    meet ``keep`` are exponentiated, and each is multiplied out only at its
+    positions in ``cols``."""
     size = cutoff.dim ** _modes(realization)
-    cols = np.arange(size) if cols is None else cols
-    row_of = np.full(size, -1)
+    every = cols is None
+    cols = np.arange(size) if every else cols
+    row_of, col_of = np.full(size, -1), np.full(size, -1)
     row_of[keep] = np.arange(keep.size)
-    # every chain is written whole: its positions outside ``cols`` land in a
-    # spare last column, which is sliced off
-    col_of = np.full(size, cols.size)
     col_of[cols] = np.arange(cols.size)
-    out = np.zeros((keep.size, cols.size + 1), dtype=complex)
-    for hit, index, rows in safe_rows(realization, kappa, cutoff, keep):
-        out[np.ix_(row_of[index[hit]], col_of[index])] = rows
-    return out[:, :-1]
+    out = np.zeros((keep.size, cols.size), dtype=complex)
+    for block in sector_blocks(realization, kappa, cutoff, meets=row_of >= 0):
+        hit = row_of[block.index] >= 0
+        # at every column, the whole block's columns as matrix(hit) gives them
+        at = slice(None) if every else col_of[block.index] >= 0
+        out[np.ix_(row_of[block.index[hit]], col_of[block.index[at]])] = block.matrix(hit, at)
+    return out
 
 
 def sector_product(

@@ -92,6 +92,20 @@ def coherent_closed_form(alpha: PolarParam, cutoff: Cutoff) -> Ket:
     return Ket(np.exp(log_mag - log_mag.max()) * phases, 1, cutoff).normalize()
 
 
+# ln n! for n = 0, 1, ..., read-only, grown to the largest dimension asked for
+_LOG_FACTORIALS = np.zeros(0)
+
+
+def _log_factorials(dim: int) -> np.ndarray:
+    """``math.lgamma(n + 1.0)`` for n = 0 ... dim - 1, as a read-only view."""
+    global _LOG_FACTORIALS
+    if _LOG_FACTORIALS.size < dim:
+        table = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return _LOG_FACTORIALS[:dim]
+
+
 def _coherent_terms(alpha: PolarParam, cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
     """ln|<n|alpha>| and e^{i n phase} for n = 0 ... n_max."""
     n = np.arange(cutoff.dim)
@@ -102,8 +116,7 @@ def _coherent_terms(alpha: PolarParam, cutoff: Cutoff) -> tuple[np.ndarray, np.n
         raise ValueError(
             f"coherent amplitude |alpha| = {alpha.modulus:.4g} is too large: |alpha|^2 overflows"
         )
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(cutoff.dim)])
-    log_mag = -0.5 * mean + n * math.log(alpha.modulus) - 0.5 * log_factorial
+    log_mag = -0.5 * mean + n * math.log(alpha.modulus) - 0.5 * _log_factorials(cutoff.dim)
     return log_mag, np.exp(1j * n * alpha.phase)
 
 

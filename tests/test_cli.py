@@ -14,6 +14,7 @@ import fockforge.cli
 import fockforge.lie
 import fockforge.protocols
 from fockforge.cli import FORMULA_CHECKS, PROTOCOL_CHECKS, RunConfig, _json_text, main
+from fockforge.config import COSH_GUARD, _guard_cosh
 from fockforge.fock import PolarParam
 from fockforge.report import make_report
 
@@ -436,27 +437,82 @@ class TestFlags:
         assert plain[0] == 0
 
 
-class TestHwMutationMap:
-    """verify-all with the Heisenberg-Weyl chain's kappa mutated inside the
-    kernel: the reports whose other side is closed form fail."""
+class TestCoshGuard:
+    @pytest.mark.parametrize(
+        "check",
+        ["check_K_rotation", "check_squeeze_conjugation", "check_SDS", "check_SSS_commute"],
+    )
+    def test_overflowing_cosh_exits_2_with_one_line(self, check, capsys):
+        # cosh(711) overflows a float; the guard still answers with a message
+        code, out, err = run(["sweep", "--check", check, "--values", "711"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: guard violated: cosh|") and err.endswith("| = 711\n")
+        assert err.count("\n") == 1
+
+    def test_verdict_is_cosh_above_the_guard_wherever_cosh_is_finite(self):
+        edge, clamp = math.acosh(COSH_GUARD), 2 * math.acosh(COSH_GUARD)
+        moduli = [0.0, 1.0, 3.6, 100.0, 710.0, 710.47]
+        for start in (edge, clamp):
+            x = start
+            for _ in range(6):
+                x = math.nextafter(x, 0.0)
+            for _ in range(13):
+                moduli.append(x)
+                x = math.nextafter(x, math.inf)
+        for modulus in moduli:
+            if math.cosh(modulus) > COSH_GUARD:
+                with pytest.raises(ValueError, match="guard violated"):
+                    _guard_cosh(modulus, "z")
+            else:
+                _guard_cosh(modulus, "z")
+        for modulus in (710.5, 711.0, 1e308, math.inf):
+            with pytest.raises(ValueError, match="guard violated"):
+                _guard_cosh(modulus, "z")
+
+
+# the reports verify-all --seed 7 fails when one realization's chains are
+# mutated inside the kernel.  Each report whose other side is closed form, or
+# built on another realization, fails under its own realization's mutations,
+# check_SDS under both hw and both squeeze ones.  Blind by design:
+# swap_route_consistency to hw (both sides take the kernel's coherent
+# inputs), check_SSS_commute to squeeze (its two squeezes share one chain
+# eigenbasis), and check_UJ_squeeze_invariance to squeeze and to su2 x 1.01
+# (a common rescaling leaves the invariance in place)
+HW_SCALED = {"apply_beamsplitter", "check_SDS", "check_phase_formula", "full_swap",
+             "imperfect_clone"}
+SQUEEZE_MUTATED = {"check_SDS", "check_squeeze_conjugation", "squeezed_swap_obstruction",
+                   "su11_quarter_correspondence"}
+SU2_SCALED = {"apply_beamsplitter", "check_J_rotation", "full_swap", "imperfect_clone",
+              "squeezed_swap_obstruction", "swap_route_consistency"}
+MUTATION_MAP = [
+    ("hw", "modulus-x1.01", HW_SCALED),
+    ("hw", "phase+0.01", {"check_SDS", "check_phase_formula"}),
+    ("squeeze", "modulus-x1.01", SQUEEZE_MUTATED),
+    ("squeeze", "phase+0.01", SQUEEZE_MUTATED),
+    ("su2", "modulus-x1.01", SU2_SCALED),
+    ("su2", "phase+0.01", SU2_SCALED | {"check_UJ_squeeze_invariance"}),
+    ("su11", "modulus-x1.01", {"check_K_rotation"}),
+    ("su11", "phase+0.01", {"check_K_rotation"}),
+]
+MUTATIONS = {
+    "modulus-x1.01": lambda k: PolarParam.from_polar(1.01 * k.modulus, k.phase),
+    "phase+0.01": lambda k: PolarParam.from_polar(k.modulus, k.phase + 0.01),
+}
+
+
+class TestMutationMap:
+    """verify-all with one realization's kappa mutated inside the kernel."""
 
     @pytest.mark.parametrize(
-        "mutate, failing",
-        [
-            (lambda k: PolarParam.from_polar(1.01 * k.modulus, k.phase),
-             {"apply_beamsplitter", "check_SDS", "check_phase_formula", "full_swap",
-              "imperfect_clone"}),
-            (lambda k: PolarParam.from_polar(k.modulus, k.phase + 0.01),
-             {"check_SDS", "check_phase_formula"}),
-        ],
-        ids=["modulus-x1.01", "phase+0.01"],
+        "realization, mutation, failing", MUTATION_MAP,
+        ids=[f"{realization}-{mutation}" for realization, mutation, _ in MUTATION_MAP],
     )
-    def test_failing_reports(self, mutate, failing, capsys, monkeypatch):
+    def test_failing_reports(self, realization, mutation, failing, capsys, monkeypatch):
         blocks = fockforge.lie.sector_blocks  # its one binding
+        mutate = MUTATIONS[mutation]
 
-        def mutated(realization, kappa, *args, **kwargs):
-            return blocks(realization, mutate(kappa) if realization == "hw" else kappa,
-                          *args, **kwargs)
+        def mutated(name, kappa, *args, **kwargs):
+            return blocks(name, mutate(kappa) if name == realization else kappa, *args, **kwargs)
 
         monkeypatch.setattr(fockforge.lie, "sector_blocks", mutated)
         code, out, _ = run(["verify-all", "--seed", "7"], capsys)

@@ -355,19 +355,25 @@ class TestNoWholeOperator:
 class TestSDSRows:
     def test_blocks_give_no_more_than_the_safe_rows(self, monkeypatch):
         # D(alpha) is applied to S's safe rows chain by chain, so no block is
-        # asked for more rows than the safe block has
-        asked = []
+        # asked for more rows than the safe block has; and the predicted
+        # displacement's one Heisenberg-Weyl chain (its positions step by one,
+        # the squeeze's parity chains by two) is multiplied out only at the
+        # safe block's columns
+        asked, hw_asked = [], []
         matrix = fockforge.lie.SectorBlock.matrix
 
-        def recording(block, rows=slice(None)):
-            out = matrix(block, rows)
+        def recording(block, rows=slice(None), cols=slice(None)):
+            out = matrix(block, rows, cols)
             asked.append(out.shape[0])
+            if np.all(np.diff(block.index) == 1):
+                hw_asked.append(out.shape[1])
             return out
 
         monkeypatch.setattr(fockforge.lie.SectorBlock, "matrix", recording)
         rep = check_SDS(PolarParam.from_polar(0.4, 1.1), PolarParam.from_polar(0.8, 0.55))
         keep = safe_indices(fockforge.formulas.SDS_CUTOFF, rep.margin, modes=1)
         assert rep.passed and asked and max(asked) <= keep.size
+        assert hw_asked and max(hw_asked) <= keep.size
 
 
 class TestSSSCommute:

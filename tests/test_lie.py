@@ -585,6 +585,24 @@ class TestRealProducts:
                 (got,) = block.matrix(np.arange(size) == row)
                 assert np.abs(got - whole[row]).max() <= 8 * eps * np.abs(whole[row]).max()
 
+    @pytest.mark.parametrize("realization", list(MODES), ids=realization_id)
+    def test_matrix_columns_are_the_rows_columns(self, realization):
+        # safe_block multiplies a chain out only at its positions in cols: a
+        # narrower product need not give the same bits, but the block is
+        # unitary, so a few eps bound every entry's gap
+        cut = Cutoff(40 if MODES[realization] == 1 else 12)
+        rng = np.random.default_rng(13)
+        eps = np.finfo(float).eps
+        for block in sector_blocks(realization, PolarParam.from_polar(0.7, -1.2), cut):
+            size = block.index.size
+            for rows in (slice(None), rng.random(size) < 0.5, np.arange(size) == 0):
+                wide = block.matrix(rows)
+                for cols in (rng.random(size) < 0.5, np.arange(size) == size - 1, slice(None)):
+                    got = block.matrix(rows, cols)
+                    assert got.shape == wide[:, cols].shape
+                    assert np.abs(got - wide[:, cols]).max(initial=0.0) <= 8 * eps
+                np.testing.assert_array_equal(_bits(block.matrix(rows, slice(None))), _bits(wide))
+
 
 def _dense_gap(built: np.ndarray, alpha: PolarParam, cut: Cutoff) -> float:
     """Relative Frobenius gap between ``built`` and one unsplit dense expm of

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as dense_expm
 from scipy.special import betaln, gammaln
 
+import fockforge.states
 from fockforge import (
     Cutoff,
     CutoffWarning,
@@ -36,7 +37,7 @@ from fockforge import (
 )
 from fockforge.config import PERELOMOV_AMPLITUDE_BOUND
 from fockforge.fock import safe_indices
-from fockforge.states import coherent_closed_form
+from fockforge.states import _log_factorials, coherent_closed_form
 from second_routes import number_state, squeezed_coherent
 
 RNG = np.random.default_rng(41)
@@ -182,6 +183,24 @@ class TestCoherent:
         # a real and a complex ket then commutes bit for bit (test_universal_swap)
         amps = coherent(PolarParam.from_value(value), Cutoff(40)).amplitudes
         assert not amps.imag.any()
+
+
+class TestLogFactorials:
+    def test_table_is_lgamma_bit_for_bit_and_read_only(self, monkeypatch):
+        # the coherent amplitudes read ln n! from one table, grown to the
+        # largest dimension asked for and sliced for smaller ones
+        monkeypatch.setattr(fockforge.states, "_LOG_FACTORIALS", np.zeros(0))
+        largest = 0
+        for dim in (1, 5, 145, 40, 301, 2, 145, 301):
+            largest = max(largest, dim)
+            got = _log_factorials(dim)
+            want = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+            assert got.shape == (dim,)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+            assert fockforge.states._LOG_FACTORIALS.size == largest
+        assert not fockforge.states._LOG_FACTORIALS.flags.writeable
 
 
 class TestSqueeze:

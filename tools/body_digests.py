@@ -1,4 +1,4 @@
-"""Exit code and sha256 digests of stdout and stderr for a fixed list of 59
+"""Exit code and sha256 digests of stdout and stderr for a fixed list of 60
 fockforge commands, run in-process against the package in CHECKOUT/src.
 
     OPENBLAS_NUM_THREADS=1 python tools/body_digests.py CHECKOUT > digests.txt
@@ -9,7 +9,8 @@ reproducible only at a fixed BLAS thread count, hence the variable.
 
 With ``--bodies DIR`` it also writes each command's stdout and stderr to
 DIR/01.out and DIR/01.err, DIR/02.out and so on, numbered in the order
-printed, so that two checkouts' bodies can be compared value by value; the
+printed, and the printed lines to DIR/digests.txt, so that two checkouts'
+bodies can be compared value by value (tools/compare_bodies.py); the
 printed lines do not change.
 """
 
@@ -90,6 +91,8 @@ COMMANDS = (
         # flags a command does not read: exit 2
         ["swap", "--a1", "1,0", "--a2", "0,1", "--seed", "3"],
         ["sweep", "--check", "full_swap", "--values", "0.5", "--margin", "3"],
+        # a modulus whose cosh overflows a float fails the cosh guard: exit 2
+        ["sweep", "--check", "check_K_rotation", "--values", "711"],
     ]
 )
 
@@ -113,6 +116,7 @@ def main() -> int:
     if Path(fockforge.cli.__file__).resolve().parent != src / "fockforge":
         sys.exit(f"imported fockforge from {fockforge.cli.__file__}, not {src}")
 
+    lines = []
     for number, argv in enumerate(COMMANDS, 1):
         out, err = io.StringIO(), io.StringIO()
         # catch_warnings: a fresh filter state per command, as in a new process
@@ -123,7 +127,10 @@ def main() -> int:
             (args.bodies / f"{number:02d}.out").write_text(out.getvalue())
             (args.bodies / f"{number:02d}.err").write_text(err.getvalue())
         digests = f"stdout={_sha256(out.getvalue())} stderr={_sha256(err.getvalue())}"
-        print(f"exit={code} {digests}  {' '.join(argv)}", flush=True)
+        lines.append(f"exit={code} {digests}  {' '.join(argv)}")
+        print(lines[-1], flush=True)
+    if args.bodies is not None:
+        (args.bodies / "digests.txt").write_text("".join(f"{line}\n" for line in lines))
     return 0
 
 
