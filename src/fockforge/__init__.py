@@ -9,14 +9,9 @@ from .fock import (
     Operator,
     PolarParam,
     adequate_cutoff,
-    annihilation,
-    dagger,
     expm,
-    identity,
-    number,
     poisson_tail,
     safe_indices,
-    tensor,
     tensor_ket,
 )
 from .formulas import (

@@ -224,35 +224,6 @@ def ladder_weights(cutoff: Cutoff) -> np.ndarray:
     return np.sqrt(np.arange(1, cutoff.dim, dtype=float))
 
 
-def annihilation(cutoff: Cutoff) -> Operator:
-    """Single-mode lowering operator: entry (n-1, n) = sqrt(n)."""
-    a = np.diag(ladder_weights(cutoff), k=1).astype(complex)
-    return Operator(a, 1, cutoff)
-
-
-def dagger(op: Operator) -> Operator:
-    """Conjugate transpose."""
-    return Operator(op.entries.conj().T.copy(), op.modes, op.cutoff)
-
-
-def number(cutoff: Cutoff) -> Operator:
-    """Occupation-number operator diag(0, 1, ..., n_max)."""
-    return Operator(np.diag(np.arange(cutoff.dim, dtype=float)).astype(complex), 1, cutoff)
-
-
-def identity(cutoff: Cutoff, modes: int = 1) -> Operator:
-    return Operator(np.eye(cutoff.dim ** modes, dtype=complex), modes, cutoff)
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with the first factor major: (i,j) -> i*dim + j."""
-    if a.cutoff != b.cutoff:
-        raise ValueError("tensor factors must share a cutoff")
-    if a.modes != 1 or b.modes != 1:
-        raise ValueError("tensor is defined for single-mode factors only")
-    return Operator(np.kron(a.entries, b.entries), 2, a.cutoff)
-
-
 def tensor_ket(a: Ket, b: Ket) -> Ket:
     """Kronecker product of single-mode kets, first factor major."""
     if a.cutoff != b.cutoff:

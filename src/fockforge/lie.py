@@ -1,13 +1,14 @@
 """Finite spin-J su(2) and truncated spin-K su(1,1) representations.
 
 Includes the two-mode (Schwinger boson) realizations and the single-mode
-quadratic realization of su(1,1), all as dense matrices on truncated spaces,
-and the sector kernel that exponentiates four realizations one conserved
-chain at a time, on a safe block's rows (``safe_rows``, ``safe_block``, and
-at every row the whole ``sector_operator``, which no command builds) or on a
-ket or a stack of columns (``apply_sectors``, ``sector_product``): "hw", the
-Heisenberg-Weyl X+ = a†, whose exponential is the displacement; "squeeze",
-K+ = a†a†/2; and Schwinger's "su2", J+ = a1†a2, and "su11", K+ = a1†a2†.
+quadratic realization of su(1,1) as dense matrices on truncated spaces, each
+scattered from the chains of the sector kernel, which exponentiates four
+realizations one conserved chain at a time, on a safe block's rows
+(``safe_rows``, ``safe_block``, and at every row the whole
+``sector_operator``, which no command builds) or on a ket or a stack of
+columns (``apply_sectors``, ``sector_product``): "hw", the Heisenberg-Weyl
+X+ = a†, whose exponential is the displacement; "squeeze", K+ = a†a†/2; and
+Schwinger's "su2", J+ = a1†a2, and "su11", K+ = a1†a2†.
 Inside ``solve_each_chain_once`` every distinct chain is diagonalized once.
 """
 
@@ -23,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, _guard_cosh
-from .fock import Cutoff, Ket, Operator, PolarParam, annihilation, dagger, identity, number, tensor
+from .fock import Cutoff, Ket, Operator, PolarParam
+from .report import _worst
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class LieTriple:
         if self.algebra not in ("su2", "su11"):
             raise ValueError("algebra must be 'su2' or 'su11'")
         gap = np.max(np.abs(self.minus.entries - self.plus.entries.conj().T))
-        if gap > 1e-12:
+        if not gap <= 1e-12:  # a NaN gap fails too
             raise ValueError("minus is not the dagger of plus")
 
     def closure_residual(self, keep: np.ndarray) -> float:
@@ -80,16 +82,25 @@ class LieTriple:
             third @ minus - minus @ third + minus,
             plus @ minus - minus @ plus - sign * 2.0 * third,
         )
-        return max(float(np.linalg.norm(r[np.ix_(keep, keep)], "fro")) for r in rels)
+        return _worst([float(np.linalg.norm(r[np.ix_(keep, keep)], "fro")) for r in rels])
 
 
-def _chain_triple(
-    ladder: np.ndarray, diagonal: np.ndarray, cutoff: Cutoff, algebra: str
-) -> LieTriple:
-    """Triple of one abstract chain: X+|n> = ladder[n]|n+1>, X3 = diag(diagonal)."""
-    plus = Operator(np.diag(ladder, k=-1).astype(complex), 1, cutoff)
-    third = Operator(np.diag(diagonal).astype(complex), 1, cutoff)
-    return LieTriple(plus, dagger(plus), third, algebra)
+def _scattered_triple(chains, weight, cutoff: Cutoff, modes: int, algebra: str) -> LieTriple:
+    """The triple whose X+ takes each chain's position k to k+1 with
+    ``ladder[k]``, X- = X+†, and X3 = weight(*occupations) on the diagonal;
+    ``chains`` yields ``sector_chains``' (*occupations, ladder) and covers the space."""
+    size = cutoff.dim ** modes
+    plus, third = np.zeros((size, size), dtype=complex), np.zeros(size)
+    for *occ, ladder in chains:
+        index = np.ravel_multi_index(tuple(occ), (cutoff.dim,) * modes)
+        plus[index[1:], index[:-1]] = ladder
+        third[index] = weight(*occ)
+    return LieTriple(
+        Operator(plus, modes, cutoff),
+        Operator(plus.conj().T.copy(), modes, cutoff),
+        Operator(np.diag(third).astype(complex), modes, cutoff),
+        algebra,
+    )
 
 
 def su2_generators(spin: SpinJ) -> LieTriple:
@@ -97,7 +108,7 @@ def su2_generators(spin: SpinJ) -> LieTriple:
     two_j = spin.two_j
     n = np.arange(spin.dim)
     ladder = np.sqrt((n[:-1] + 1) * (two_j - n[:-1]))
-    return _chain_triple(ladder, n - two_j / 2, Cutoff(two_j), "su2")
+    return _scattered_triple([(n, ladder)], lambda n: n - two_j / 2, Cutoff(two_j), 1, "su2")
 
 
 def su11_generators(spin: SpinK) -> LieTriple:
@@ -105,29 +116,21 @@ def su11_generators(spin: SpinK) -> LieTriple:
     two_k = float(spin.two_k)
     n = np.arange(spin.cutoff.dim)
     ladder = np.sqrt((n[:-1] + 1) * (two_k + n[:-1]))
-    return _chain_triple(ladder, two_k / 2 + n, spin.cutoff, "su11")
+    return _scattered_triple([(n, ladder)], lambda n: two_k / 2 + n, spin.cutoff, 1, "su11")
 
 
 def schwinger_su2(cutoff: Cutoff) -> LieTriple:
-    """Two-mode boson realization J+ = a1†a2, J3 = (N1 - N2)/2."""
-    a = annihilation(cutoff)
-    ad = dagger(a)
-    n_op = number(cutoff)
-    eye = identity(cutoff)
-    plus = tensor(ad, a)
-    third = 0.5 * (tensor(n_op, eye) - tensor(eye, n_op))
-    return LieTriple(plus, dagger(plus), third, "su2")
+    """Two-mode boson realization J+ = a1†a2, J3 = (N1 - N2)/2: the kernel's
+    su2 chains, scattered into one matrix."""
+    chains = sector_chains("su2", cutoff)
+    return _scattered_triple(chains, lambda n1, n2: (n1 - n2) / 2, cutoff, 2, "su2")
 
 
 def schwinger_su11(cutoff: Cutoff) -> LieTriple:
-    """Two-mode boson realization K+ = a1†a2†, K3 = (N1 + N2 + 1)/2."""
-    a = annihilation(cutoff)
-    ad = dagger(a)
-    n_op = number(cutoff)
-    eye = identity(cutoff)
-    plus = tensor(ad, ad)
-    third = 0.5 * (tensor(n_op, eye) + tensor(eye, n_op) + identity(cutoff, modes=2))
-    return LieTriple(plus, dagger(plus), third, "su11")
+    """Two-mode boson realization K+ = a1†a2†, K3 = (N1 + N2 + 1)/2: the
+    kernel's su11 chains, scattered into one matrix."""
+    chains = sector_chains("su11", cutoff)
+    return _scattered_triple(chains, lambda n1, n2: (n1 + n2 + 1) / 2, cutoff, 2, "su11")
 
 
 def real_times(real: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -406,14 +409,12 @@ def beamsplitter_UJ(kappa: PolarParam, cutoff: Cutoff) -> Operator:
 
 
 def single_mode_su11(cutoff: Cutoff) -> LieTriple:
-    """Quadratic realization K+ = a†a†/2, K3 = (a†a + 1/2)/2.
+    """Quadratic realization K+ = a†a†/2, K3 = (a†a + 1/2)/2: the kernel's
+    squeeze chains, scattered into one matrix.
 
     Acts with spin 1/4 on the even occupation subspace and 3/4 on the odd one;
     one ladder step moves the occupation by two, so safe margins for this
     triple count in pairs of Fock levels.
     """
-    a = annihilation(cutoff)
-    ad = dagger(a)
-    plus = 0.5 * (ad @ ad)
-    third = 0.5 * (number(cutoff) + 0.5 * identity(cutoff))
-    return LieTriple(plus, dagger(plus), third, "su11")
+    chains = sector_chains("squeeze", cutoff)
+    return _scattered_triple(chains, lambda n: (n + 0.5) / 2, cutoff, 1, "su11")

@@ -4,14 +4,47 @@ No command needs these: the package conjugates on safe rows chain by chain,
 builds coherent states on the Heisenberg-Weyl chain and applies the two-mode
 squeezer sector by sector.  Here they are the plain dense forms of the same
 objects, and ``assembled_operator`` writes the sector kernel's blocks into the
-whole matrix without ``safe_block``.
+whole matrix without ``safe_block``.  The ladder operators, the number
+operator, the identity and the Kronecker product build the Schwinger and
+single-mode generators as the paper writes them (a1†a2, a1†a2†, a†a†/2), the
+route that the package's generators, scattered from its chains, are compared to.
 """
 
 import numpy as np
 
 from fockforge import Cutoff, Ket, Operator, PolarParam, displacement, squeeze, vacuum
-from fockforge.fock import safe_indices
+from fockforge.fock import ladder_weights, safe_indices
 from fockforge.lie import MODES, sector_blocks, sector_operator
+
+
+def annihilation(cutoff: Cutoff) -> Operator:
+    """Single-mode lowering operator: entry (n-1, n) = sqrt(n)."""
+    a = np.diag(ladder_weights(cutoff), k=1).astype(complex)
+    return Operator(a, 1, cutoff)
+
+
+def dagger(op: Operator) -> Operator:
+    """Conjugate transpose."""
+    return Operator(op.entries.conj().T.copy(), op.modes, op.cutoff)
+
+
+def number(cutoff: Cutoff) -> Operator:
+    """Occupation-number operator diag(0, 1, ..., n_max)."""
+    return Operator(np.diag(np.arange(cutoff.dim, dtype=float)).astype(complex), 1, cutoff)
+
+
+def identity(cutoff: Cutoff, modes: int = 1) -> Operator:
+    return Operator(np.eye(cutoff.dim ** modes, dtype=complex), modes, cutoff)
+
+
+def tensor(a: Operator, b: Operator) -> Operator:
+    """Kronecker product with the first factor major: (i,j) -> i*dim + j."""
+    if a.cutoff != b.cutoff:
+        raise ValueError("tensor factors must share a cutoff")
+    if a.modes != 1 or b.modes != 1:
+        raise ValueError("tensor is defined for single-mode factors only")
+    return Operator(np.kron(a.entries, b.entries), 2, a.cutoff)
+
 
 # Frobenius bound on U†U - I for an operator conjugate_by accepts as unitary
 UNITARITY_TOL = 1e-10

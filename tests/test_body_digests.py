@@ -1,6 +1,7 @@
 """tools/body_digests.py: ``--bodies DIR`` writes the bodies it digests and
 leaves the printed lines as they are without it; tools/compare_bodies.py
-compares two such directories value by value."""
+compares two such directories value by value; tools/unreached.py lists the
+functions that a list of commands never enters."""
 
 import hashlib
 import importlib.util
@@ -84,3 +85,25 @@ def test_compare_bodies_reports_moves_and_changes(monkeypatch, capsys, tmp_path)
     assert f"changed report.passed {not report['passed']!r} -> {report['passed']!r}: swap" in out
     assert "exit 1 -> 2: sweep --check check_SDS --values 0.7 --nmax 6\n" in out
     assert "stderr changed: sweep --check check_SDS --values 0.7 --nmax 6\n" in out
+
+
+def test_unreached_lists_what_two_commands_never_enter(monkeypatch, capsys):
+    tool = _tool("unreached")
+    monkeypatch.setattr(tool, "commands", lambda: [
+        ["swap", "--a1", "1,0", "--a2", "0,1"],
+        ["sweep", "--check", "check_SDS", "--values", "0.7", "--nmax", "6"],
+    ])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    # the package is imported afresh under the profile, as in a new process;
+    # the modules the other tests imported come back
+    for name in [m for m in sys.modules if m.split(".")[0] == "fockforge"]:
+        monkeypatch.delitem(sys.modules, name)
+    assert tool.main([str(ROOT)]) == 1
+    *lines, total = capsys.readouterr().out.splitlines()
+    listed = dict(line.split(": ", 1) for line in lines)
+    assert listed["formulas.check_K_rotation"] == "NOT ALLOWED"  # neither command runs it
+    assert listed["states.displacement"] == tool.ALLOWED["states.displacement"]
+    assert "protocols.full_swap" not in listed and "formulas.check_SDS" not in listed
+    assert "cli._draws" not in listed  # entered only while cli is imported
+    refused = sum(reason == "NOT ALLOWED" for reason in listed.values())
+    assert total.endswith(f"functions unreached, {refused} not allowed")

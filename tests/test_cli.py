@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,13 +11,15 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockforge.cli
 import fockforge.lie
 import fockforge.protocols
 from fockforge.cli import FORMULA_CHECKS, PROTOCOL_CHECKS, RunConfig, _json_text, main
 from fockforge.config import COSH_GUARD, _guard_cosh
-from fockforge.fock import PolarParam
+from fockforge.fock import MAX_NMAX, PolarParam
 from fockforge.report import make_report
 
 
@@ -377,20 +381,24 @@ class TestSweepCommand:
             assert rep["fidelities"]["clone"] >= 1 - 1e-6
 
 
+def subcommand_flags() -> dict[str, set[str]]:
+    """Each subcommand's flags, as its parser declares them."""
+    sub = next(
+        a for a in fockforge.cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
 class TestFlags:
     """Each subcommand accepts only the flags it reads."""
 
     def test_each_subcommand_takes_the_flags_it_reads(self):
-        sub = next(
-            a for a in fockforge.cli.build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        )
-        flags = {
-            name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
-            for name, p in sub.choices.items()
-        }
         common = {"--nmax", "--tol", "--format", "--out"}
-        assert flags == {
+        assert subcommand_flags() == {
             "verify-all": common | {"--margin", "--seed"},
             "swap": common | {"--a1", "--a2", "--delta"},
             "clone": common | {"--alpha", "--delta"},
@@ -435,6 +443,68 @@ class TestFlags:
         monkeypatch.setenv("FOCKFORGE_NMAX", "6")
         assert run(argv, capsys) == plain
         assert plain[0] == 0
+
+
+# the argv grammar: each subcommand with some of the flags its parser
+# declares, and at times one that only another subcommand reads; each value
+# is a good one or a bad one: out of range, non-finite, overflowing, empty or
+# malformed.  Every declared flag needs an entry in _GOOD
+_FLAGS = subcommand_flags()
+_AMPLITUDES = ("1,0", "0.5,-0.2", "1@0.3", "0,1", "2")
+_GOOD = {
+    "--seed": ("0", "7"),
+    "--margin": ("auto", "20"),  # verify-all at margin 2 takes ten times as long
+    "--a1": _AMPLITUDES,
+    "--a2": _AMPLITUDES,
+    "--alpha": _AMPLITUDES,
+    "--delta": ("0", "0.3", "1e15"),
+    "--check": tuple(c.name for c in FORMULA_CHECKS + PROTOCOL_CHECKS),
+    "--values": ("0.3", "0.2,0.7", "0", "711"),
+    # small cutoffs only: a large one could allocate gigabytes
+    "--nmax": ("6", "12", "40"),
+    "--tol": ("1e-6", "0.01", "711"),
+    "--format": ("json", "csv"),
+    "--out": ("",),
+}
+_BAD = (
+    "-1", "1e400", "-1e400", "nan", "inf", "-inf", "", ",", "1,", "0.2,nan", "inf,0",
+    "1@", "@", "abc",
+)
+_WORSE = {  # bad values of one flag alone
+    "--nmax": ("0", str(MAX_NMAX + 1), str(10**400)),  # past MAX_NMAX, never between
+    "--format": ("xml",),
+    "--check": ("check_none",),
+    "--margin": ("41",),
+}
+# never a path the command could write: a directory or one in a missing directory
+_BAD_OUT = (".", "no-such-directory/out.json")
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, a subset of its flags and at most one foreign flag, each
+    followed by a good or a bad value."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    own = _FLAGS[command]
+    flags = [f for f in sorted(own) if draw(st.booleans())]
+    foreign = sorted(set().union(*_FLAGS.values()) - own)
+    flags += draw(st.lists(st.sampled_from(foreign), max_size=1))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        bad = st.sampled_from(_BAD_OUT if flag == "--out" else _BAD + _WORSE.get(flag, ()))
+        argv += [flag, draw(st.sampled_from(_GOOD[flag]) | bad)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(argvs())
+def test_no_argv_escapes_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 class TestCoshGuard:

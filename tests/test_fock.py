@@ -14,19 +14,23 @@ from fockforge import (
     Operator,
     PolarParam,
     adequate_cutoff,
-    annihilation,
-    dagger,
     expm,
-    identity,
-    number,
     poisson_tail,
-    tensor,
     tensor_ket,
 )
 import fockforge.fock
 from fockforge.fock import _expm_array, _stirling_series, safe_indices
 from fockforge.states import displacement, phase_rotation
-from second_routes import conjugate_by, residual, safe_projector
+from second_routes import (
+    annihilation,
+    conjugate_by,
+    dagger,
+    identity,
+    number,
+    residual,
+    safe_projector,
+    tensor,
+)
 
 
 parts = st.floats(-1e307, 1e307)

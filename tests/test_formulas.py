@@ -25,17 +25,15 @@ from fockforge import (
     expm,
     fidelity,
     full_swap,
-    identity,
     imperfect_clone,
     phase_rotation,
     squeeze,
     squeeze_pair_exponent_coefficients,
     squeezed_swap_obstruction,
-    tensor,
     vacuum,
 )
 from fockforge.cli import PROTOCOL_CHECKS, main
-from fockforge.fock import annihilation, dagger, safe_indices
+from fockforge.fock import safe_indices
 from fockforge.formulas import (
     A1,
     A2DAG,
@@ -45,7 +43,7 @@ from fockforge.formulas import (
     _sinhc,
 )
 from fockforge.lie import safe_rows, sector_blocks
-from second_routes import conjugate_by, residual
+from second_routes import annihilation, conjugate_by, dagger, identity, residual, tensor
 
 RNG = np.random.default_rng(23)
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from fockforge import (
 )
 from fockforge.cli import RunConfig, _lie_reports, main
 from fockforge.config import COSH_GUARD, DEFAULT_TOLERANCES, TAIL_BOUND, default_margin
-from fockforge.fock import annihilation, poisson_tail, safe_indices
+from fockforge.fock import poisson_tail, safe_indices
 from fockforge.formulas import _hyperbolic_margin
 from fockforge.lie import (
     MODES,
@@ -39,7 +40,15 @@ from fockforge.lie import (
     solve_each_chain_once,
 )
 from fockforge.states import coherent_series, vacuum
-from second_routes import assembled_operator, two_mode_squeezer_UK
+from second_routes import (
+    annihilation,
+    assembled_operator,
+    dagger,
+    identity,
+    number,
+    tensor,
+    two_mode_squeezer_UK,
+)
 from test_acceptance import _closure
 
 BUILDERS = {"su2": (beamsplitter_UJ, schwinger_su2), "su11": (two_mode_squeezer_UK, schwinger_su11)}
@@ -119,6 +128,7 @@ class TestSu2:
         triple = su2_generators(SpinJ(two_j))
         want = loop_ladder(two_j + 1, lambda n: (n + 1) * (two_j - n))
         np.testing.assert_array_equal(triple.plus.entries, want)
+        np.testing.assert_array_equal(triple.minus.entries, want.conj().T)
         np.testing.assert_array_equal(
             triple.third.entries, np.diag(np.arange(two_j + 1) - two_j / 2).astype(complex)
         )
@@ -161,6 +171,7 @@ class TestSu11:
         k2 = float(two_k)
         want = loop_ladder(cut.dim, lambda n: (n + 1) * (k2 + n))
         np.testing.assert_array_equal(triple.plus.entries, want)
+        np.testing.assert_array_equal(triple.minus.entries, want.conj().T)
         np.testing.assert_array_equal(
             triple.third.entries, np.diag(k2 / 2 + np.arange(cut.dim)).astype(complex)
         )
@@ -194,7 +205,58 @@ class TestSu11:
             SpinK(Fraction(0), Cutoff(4))
 
 
+def paper_triples(cut: Cutoff) -> dict:
+    """X+ and X3 of each scattered realization, built from a, a†, N, 1 and
+    the Kronecker product as the paper writes them."""
+    a, n, eye = annihilation(cut), number(cut), identity(cut)
+    ad = dagger(a)
+    both = identity(cut, modes=2)
+    return {
+        schwinger_su2: (tensor(ad, a), 0.5 * (tensor(n, eye) - tensor(eye, n))),
+        schwinger_su11: (tensor(ad, ad), 0.5 * (tensor(n, eye) + tensor(eye, n) + both)),
+        single_mode_su11: (0.5 * (ad @ ad), 0.5 * (n + 0.5 * eye)),
+    }
+
+
 class TestSchwinger:
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 10, 20])
+    def test_scattered_chains_are_the_paper_s_operators(self, n_max):
+        # the kernel's chains, scattered, against a1†a2, a1†a2† and a†a†/2:
+        # sqrt(n + 1) sqrt(m) and sqrt((n + 1) m) round apart by an ulp or two
+        cut = Cutoff(n_max)
+        for build, (plus, third) in paper_triples(cut).items():
+            triple = build(cut)
+            np.testing.assert_array_equal(triple.third.entries, third.entries)
+            gap = np.abs(triple.plus.entries - plus.entries).max()
+            assert gap <= 4 * np.finfo(float).eps * np.abs(plus.entries).max()
+            np.testing.assert_array_equal(triple.minus.entries, triple.plus.entries.conj().T)
+
+    @pytest.mark.parametrize(
+        "realization,chain,report",
+        [
+            ("su2", 3, "su2_closure_schwinger"),
+            ("su11", 3, "su11_closure_schwinger"),
+            ("squeeze", 0, "su11_closure_single_mode"),
+        ],
+    )
+    def test_closure_reports_see_a_wrong_ladder(
+        self, monkeypatch, capsys, realization, chain, report
+    ):
+        # one ladder entry x 1.01, between two positions inside the kept block
+        real = fockforge.lie.sector_chains
+
+        def mutated(name, cutoff):
+            for k, (*occ, ladder) in enumerate(real(name, cutoff)):
+                if (name, k) == (realization, chain):
+                    ladder = ladder.copy()
+                    ladder[1] *= 1.01
+                yield (*occ, ladder)
+
+        monkeypatch.setattr(fockforge.lie, "sector_chains", mutated)
+        assert main(["verify-all", "--seed", "7"]) == 1
+        passed = {r["name"]: r["passed"] for r in json.loads(capsys.readouterr().out)["reports"]}
+        assert passed[report] is False
+
     def test_su2_plus_kills_double_vacuum(self):
         triple = schwinger_su2(Cutoff(4))
         vac = np.zeros(25)
@@ -761,6 +823,25 @@ class TestLieTriple:
         for triple, keep in self._reported_closures(monkeypatch):
             bad = LieTriple(1.01 * triple.plus, 1.01 * triple.minus, triple.third, triple.algebra)
             assert bad.closure_residual(keep) > 1e-3
+
+    @staticmethod
+    def _with_nan_minus():
+        """A spin-1 triple, and its X- with one entry NaN."""
+        triple = su2_generators(SpinJ(2))
+        minus = triple.minus.entries.copy()
+        minus[0, 1] = np.nan
+        return triple, Operator(minus, 1, triple.plus.cutoff)
+
+    def test_rejects_a_nan_adjoint(self):
+        triple, minus = self._with_nan_minus()
+        with pytest.raises(ValueError, match="dagger"):
+            LieTriple(triple.plus, minus, triple.third, "su2")
+
+    def test_closure_residual_is_nan_when_any_bracket_is(self):
+        # a NaN in X- reaches only the last two brackets, which max() would skip
+        triple, minus = self._with_nan_minus()
+        object.__setattr__(triple, "minus", minus)  # past the constructor's check
+        assert math.isnan(triple.closure_residual(np.arange(3)))
 
     def test_rejects_mismatched_adjoint(self):
         cut = Cutoff(3)

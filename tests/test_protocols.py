@@ -13,22 +13,17 @@ from fockforge import (
     CutoffWarning,
     PolarParam,
     adequate_cutoff,
-    annihilation,
     apply_beamsplitter,
     beamsplitter_UJ,
     check_SDS,
     check_phase_formula,
     coherent,
     coherent_with_deficit,
-    dagger,
     fidelity,
     full_swap,
-    identity,
     imperfect_clone,
-    number,
     squeeze,
     squeezed_swap_obstruction,
-    tensor,
     tensor_ket,
     vacuum,
 )
@@ -41,7 +36,15 @@ from fockforge.formulas import (
 )
 from fockforge.lie import apply_sectors
 from fockforge.protocols import _gaussian_exponential
-from second_routes import residual, two_mode_squeezer_UK
+from second_routes import (
+    annihilation,
+    dagger,
+    identity,
+    number,
+    residual,
+    tensor,
+    two_mode_squeezer_UK,
+)
 
 RNG = np.random.default_rng(31)
 

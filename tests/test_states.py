@@ -17,11 +17,9 @@ from fockforge import (
     PolarParam,
     SpinJ,
     SpinK,
-    annihilation,
     coherent,
     coherent_series,
     coherent_with_deficit,
-    dagger,
     displacement,
     fidelity,
     make_report,
@@ -38,7 +36,7 @@ from fockforge import (
 from fockforge.config import PERELOMOV_AMPLITUDE_BOUND
 from fockforge.fock import safe_indices
 from fockforge.states import _log_factorials, coherent_closed_form
-from second_routes import number_state, squeezed_coherent
+from second_routes import annihilation, dagger, number_state, squeezed_coherent
 
 RNG = np.random.default_rng(41)
 
